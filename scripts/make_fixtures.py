@@ -14,23 +14,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from obskit.families import CLASS_SPECS, omnivore_chain
 from obskit.multigraph import format_graph_set
 from obskit.obstructions import BUILTIN_CLASSES, compute_obstructions
+from obskit.verify import FIXTURE_BOUNDS
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src/obskit/fixtures"
-
-# class name -> universe bound the golden set was computed at
-BOUNDS = {
-    "forests": (6, 1),
-    "outerplanar": (6, 1),
-    "apex_forest": (7, 1),
-    "subcubic_forest": (5, 2),
-    "star_or_edgeless": (6, 2),
-    "theta_like": (5, 2),
-}
 
 
 def main():
     FIXTURES.mkdir(parents=True, exist_ok=True)
-    for name, (n_max, mult_max) in BOUNDS.items():
+    for name, (n_max, mult_max) in FIXTURE_BOUNDS.items():
         relation, predicate = BUILTIN_CLASSES[name]
         rep = compute_obstructions(relation, predicate, n_max, mult_max)
         text = format_graph_set(

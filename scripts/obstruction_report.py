@@ -14,11 +14,7 @@ import time
 
 from obskit.obstructions import BUILTIN_CLASSES, compute_obstructions, fixture_graphs
 from obskit.multigraph import format_graph_text
-from obskit.verify import FIXTURE_BOUNDS
-
-
-def _key_set(graphs):
-    return sorted((g.n, g.total_units, g.edges) for g in graphs)
+from obskit.verify import FIXTURE_BOUNDS, _same_graphs
 
 
 def run_class(name, n_max, mult_max, show_graphs, custom_bounds):
@@ -32,7 +28,7 @@ def run_class(name, n_max, mult_max, show_graphs, custom_bounds):
         verdict = "(custom bounds, no fixture diff)"
     else:
         want = fixture_graphs(f"obstructions_{name}.txt")
-        verdict = "MATCH" if _key_set(report.obstructions) == _key_set(want) else "DIFFER"
+        verdict = "MATCH" if _same_graphs(report.obstructions, want) else "DIFFER"
 
     print(f"{name:18s} {relation.value:10s} n<={n_max} mult<={mult_max}  "
           f"{len(report.obstructions):3d} obstruction(s)  {elapsed:6.2f}s  {verdict}")

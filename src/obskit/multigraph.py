@@ -342,7 +342,8 @@ def _canonical_order(g: MultiGraph) -> list[int]:
             cell.add(v)
 
     dfs(0, [])
-    assert best_order is not None
+    if best_order is None:
+        raise AssertionError("canonical search placed no complete order; bug")
     return best_order
 
 

@@ -2,11 +2,14 @@
 
 A report lists every graph in the universe that violates a containment-closed
 predicate while every single-step reduction of it satisfies the predicate.
-Single steps are relation-specific: vertex deletion, edge deletion and edge
-contraction for minors; vertex deletion, edge deletion and lifting for
-immersions.  Because any proper minor (or immersion) of a graph is reachable
-through single steps, step-minimal violators are exactly the minimal ones,
-and that equivalence is itself re-checked on small universes by the tests.
+Single steps are relation-specific and come from the one generator in
+`relations`: vertex deletion and edge deletion always, plus edge contraction
+for minors, dissolution of an edge-degree-2 vertex with two distinct
+neighbours for topological minors (contracting an arbitrary edge is not a
+topological-minor step), and lifting for immersions.  Because any proper
+minor (topological minor, immersion) of a graph is reachable through single
+steps, step-minimal violators are exactly the minimal ones, and that
+equivalence is itself re-checked on small universes by the tests.
 
 Reports are complete only up to their (n_max, mult_max) bound: an obstruction
 with more vertices is invisible, so every report carries its bound and a note
@@ -25,15 +28,13 @@ import networkx as nx
 from .multigraph import (
     MultiGraph,
     canonical_form,
-    contract_edge,
-    delete_edge,
     delete_vertex,
     enumerate_graphs,
-    lift_pair,
     parse_graph_set,
 )
 from .parameters import ParameterKind, parameter_at_most
-from .relations import Mode, Relation, contains, is_antichain, parse_relation
+from .relations import (Mode, Relation, _single_steps, contains, is_antichain,
+                        parse_relation)
 
 
 class NonClosedPredicateError(ValueError):
@@ -51,23 +52,6 @@ class NonClosedPredicateError(ValueError):
 
 class ChainNotFoundError(ValueError):
     """No ascending chain exists inside the searched universe."""
-
-
-def _single_step_reductions(g, relation, mode):
-    simple = mode is Mode.SIMPLE
-    for v in range(g.n):
-        yield delete_vertex(g, v)
-    for u, v, _ in g.edges:
-        yield delete_edge(g, u, v, 1)
-    if relation in (Relation.MINOR, Relation.TOPOLOGICAL_MINOR):
-        for u, v, _ in g.edges:
-            yield contract_edge(g, u, v, simple=simple)
-    elif relation is Relation.IMMERSION:
-        for y in range(g.n):
-            nbrs = sorted(g.adj[y])
-            for i, x in enumerate(nbrs):
-                for z in nbrs[i + 1:]:
-                    yield lift_pair(g, x, y, z)
 
 
 @dataclass(frozen=True)
@@ -101,14 +85,14 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
     for g in enumerate_graphs(n_max, mult_max):
         if predicate(g):
             members.append(g)
-        elif all(predicate(r) for r in _single_step_reductions(g, relation, mode)):
+        elif all(predicate(r) for r in _single_steps(g, relation, mode)):
             found.append(g)
 
     rng = random.Random(rng_seed)
     sample = (members if len(members) <= closure_samples
               else rng.sample(members, closure_samples))
     for m in sample:
-        for r in _single_step_reductions(m, relation, mode):
+        for r in _single_steps(m, relation, mode):
             if not predicate(r):
                 raise NonClosedPredicateError(m, r, relation)
 

@@ -227,7 +227,8 @@ def chain_partition(p: FinitePoset) -> list[list]:
     for chain in chains:
         chain = sorted(chain, key=lambda i: sum(p.le[j][i] for j in chain))
         for a, b in zip(chain, chain[1:]):
-            assert p.le[a][b], "matching produced a non-chain; bug"
+            if not p.le[a][b]:
+                raise AssertionError("matching produced a non-chain; bug")
         out.append([p.labels[i] for i in chain])
     out.sort(key=lambda c: str(c[0]))
     return out

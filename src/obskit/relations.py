@@ -24,13 +24,19 @@ Multiplicity semantics (multi mode):
 * immersion: injective map plus one path per pattern edge unit, paths
   pairwise edge-unit-disjoint; paths may pass through images.
 
+Every relation but subgraph is also generated by single steps, and one
+generator serves the minor descent, the lifting walk and the obstruction
+scans: vertex deletion and edge-unit deletion, plus edge contraction for
+minors, dissolution of an edge-degree-2 vertex with two distinct
+neighbours (never contraction of an arbitrary edge) for topological minors,
+and lifting a pair of edges at a shared middle vertex for immersions.
+
 Simple mode collapses multiplicities on both sides first.  Minor and
 topological minor default to simple mode, subgraph and immersion to multi.
 Every CLI-facing report records which mode was in force.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from enum import Enum
 
@@ -161,100 +167,29 @@ def _subgraph(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
     return place(0)
 
 
-def _minor_paths(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
-    """Branch-set search: fix roots, then grow crossing paths. Fast on small
-    positive instances, kept as an independent engine for cross-checks."""
-    if h.n == 0:
-        return True
-    if h.n > g.n or h.total_units > g.total_units:
-        return False
-    if _subgraph(g, h, dl):
-        return True
-
-    reqs: list[tuple[int, int]] = []
-    for u, v, m in h.edges:
-        reqs.extend([(u, v)] * m)
-    owner = [-1] * g.n
-    used: dict[tuple[int, int], int] = {}
-    gadj = g.adj
-
-    def satisfy(ri: int) -> bool:
-        dl.check()
-        if ri == len(reqs):
-            return True
-        u, v = reqs[ri]
-        # a spare host unit already crossing between the two branch sets
-        for a, b, m in g.edges:
-            oa, ob = owner[a], owner[b]
-            if ((oa == u and ob == v) or (oa == v and ob == u)) and used.get((a, b), 0) < m:
-                used[(a, b)] = used.get((a, b), 0) + 1
-                if satisfy(ri + 1):
-                    return True
-                used[(a, b)] -= 1
-        # otherwise grow both sets along a fresh path and claim its crossing unit;
-        # interiors are split between the two sets at every possible point
-        path: list[int] = []
-        on_path = [False] * g.n
-
-        def dfs(x: int) -> bool:
-            dl.check()
-            for y in sorted(gadj[x]):
-                if owner[y] == v:
-                    if len(path) < 2:
-                        continue  # a direct edge is a crossing unit, handled above
-                    full = path + [y]
-                    k = len(path) - 1
-                    for j in range(k + 1):
-                        for t in range(1, j + 1):
-                            owner[full[t]] = u
-                        for t in range(j + 1, k + 1):
-                            owner[full[t]] = v
-                        a, b = full[j], full[j + 1]
-                        key = (a, b) if a < b else (b, a)
-                        used[key] = used.get(key, 0) + 1
-                        if satisfy(ri + 1):
-                            return True
-                        used[key] -= 1
-                        for t in range(1, k + 1):
-                            owner[full[t]] = -1
-                elif owner[y] == -1 and not on_path[y]:
-                    path.append(y)
-                    on_path[y] = True
-                    if dfs(y):
-                        return True
-                    path.pop()
-                    on_path[y] = False
-            return False
-
-        for a0 in range(g.n):
-            if owner[a0] != u:
-                continue
-            path = [a0]
-            on_path = [False] * g.n
-            on_path[a0] = True
-            if dfs(a0):
-                return True
-        return False
-
-    for roots in itertools.permutations(range(g.n), h.n):
-        for i, r in enumerate(roots):
-            owner[r] = i
-        used.clear()
-        if satisfy(0):
-            return True
-        for r in roots:
-            owner[r] = -1
-    return False
-
-
-def _minor_steps(g: MultiGraph, multi: bool):
-    """Every single-step reduction: any strict minor lives below one of
-    these (uncovered vertex, contractible branch edge, or surplus unit)."""
+def _single_steps(g: MultiGraph, rel: Relation, mode: Mode):
+    """Every single-step reduction of g under the relation, in a fixed
+    order: vertex deletions, each edge's unit deletion (then, for minors,
+    its contraction), then dissolutions or lifts.  Any strict containment
+    h < g lies below one of these steps."""
+    simple = mode is Mode.SIMPLE
     for v in range(g.n):
         yield delete_vertex(g, v)
     for u, v, _ in g.edges:
         yield delete_edge(g, u, v, 1)
-        yield contract_edge(g, u, v, simple=not multi)
+        if rel is Relation.MINOR:
+            yield contract_edge(g, u, v, simple=simple)
+    if rel is Relation.TOPOLOGICAL_MINOR:
+        for y in range(g.n):
+            if g.edge_degrees[y] == 2 and len(g.adj[y]) == 2:
+                # contracting either edge at y dissolves y
+                yield contract_edge(g, y, min(g.adj[y]), simple=simple)
+    elif rel is Relation.IMMERSION:
+        for y in range(g.n):
+            nbrs = sorted(g.adj[y])
+            for i, x in enumerate(nbrs):
+                for z in nbrs[i + 1:]:
+                    yield lift_pair(g, x, y, z)
 
 
 def _minor(g: MultiGraph, h: MultiGraph, dl: _Deadline, multi: bool = False) -> bool:
@@ -273,6 +208,7 @@ def _minor(g: MultiGraph, h: MultiGraph, dl: _Deadline, multi: bool = False) -> 
     if _subgraph(g, h, dl):
         return True
     hkey = canonical_form(h)
+    mode = Mode.MULTI if multi else Mode.SIMPLE
     memo: dict[bytes, bool] = {}
 
     def down(x: MultiGraph) -> bool:
@@ -285,7 +221,7 @@ def _minor(g: MultiGraph, h: MultiGraph, dl: _Deadline, multi: bool = False) -> 
         dl.check()
         found = False
         seen: set[bytes] = set()
-        for red in _minor_steps(x, multi):
+        for red in _single_steps(x, Relation.MINOR, mode):
             red = _reduce_host(h, red, multi)
             if red.n < h.n or red.total_units < h.total_units:
                 continue
@@ -636,13 +572,6 @@ def set_dominates(rel: Relation | str, a, b, **limits) -> bool:
     return all(any(contains(rel, x, y, **limits) for x in a) for y in b)
 
 
-def excl_within(rel: Relation | str, obstructions, universe, **limits) -> list[MultiGraph]:
-    """Members of the universe that contain no obstruction."""
-    obstructions = list(obstructions)
-    return [g for g in dedup_graphs(universe)
-            if not any(contains(rel, o, g, **limits) for o in obstructions)]
-
-
 def down_closure_within(rel: Relation | str, seeds, universe, **limits) -> list[MultiGraph]:
     """Members of the universe lying below some seed."""
     seeds = list(seeds)
@@ -736,19 +665,17 @@ def verify_minor_model(h: MultiGraph, g: MultiGraph, branch_sets,
 
 # -- an independent immersion decision, for cross-checks ---------------------
 
-def immersion_reachable_set(g: MultiGraph, max_states: int = 500000) -> frozenset[bytes]:
-    """Canonical forms of everything reachable from g by vertex deletions,
-    edge unit deletions, and lifts.
-
-    Reachability under these moves is an alternative description of
-    immersion containment, so this set doubles as an oracle independent of
-    the path search.  Every move strictly shrinks vertex count plus unit
-    count, so the walk terminates.  Intended for tiny graphs.
-    """
+def _lifting_walk(g: MultiGraph, floor: tuple[int, int], max_states: int):
+    """Canonical forms of the graphs reachable from g by immersion steps,
+    depth first.  Every move strictly shrinks vertex count plus unit count,
+    so the walk terminates; graphs below floor = (vertices, units) are
+    skipped, since they can never grow back."""
     seen: set[bytes] = set()
     stack = [g]
     while stack:
         x = stack.pop()
+        if x.n < floor[0] or x.total_units < floor[1]:
+            continue
         c = canonical_form(x)
         if c in seen:
             continue
@@ -756,16 +683,19 @@ def immersion_reachable_set(g: MultiGraph, max_states: int = 500000) -> frozense
         if len(seen) > max_states:
             raise BudgetExceededError("lifting walk state cap exceeded",
                                       {"states": len(seen)})
-        for v in range(x.n):
-            stack.append(delete_vertex(x, v))
-        for a, b, _ in x.edges:
-            stack.append(delete_edge(x, a, b))
-        for y in range(x.n):
-            nbrs = sorted(x.adj[y])
-            for ai in range(len(nbrs)):
-                for bi in range(ai + 1, len(nbrs)):
-                    stack.append(lift_pair(x, nbrs[ai], y, nbrs[bi]))
-    return frozenset(seen)
+        yield c
+        stack.extend(_single_steps(x, Relation.IMMERSION, Mode.MULTI))
+
+
+def immersion_reachable_set(g: MultiGraph, max_states: int = 500000) -> frozenset[bytes]:
+    """Canonical forms of everything reachable from g by vertex deletions,
+    edge unit deletions, and lifts.
+
+    Reachability under these moves is an alternative description of
+    immersion containment, so this set doubles as an oracle independent of
+    the path search.  Intended for tiny graphs.
+    """
+    return frozenset(_lifting_walk(g, (0, 0), max_states))
 
 
 def immersion_by_liftings(g: MultiGraph, h: MultiGraph,
@@ -774,33 +704,8 @@ def immersion_by_liftings(g: MultiGraph, h: MultiGraph,
     if h.n > g.n or h.total_units > g.total_units:
         return False
     target = canonical_form(h)
-    seen: set[bytes] = set()
-    stack = [g]
-    while stack:
-        x = stack.pop()
-        if x.n < h.n or x.total_units < h.total_units:
-            continue  # moves only shrink, so x can no longer reach h
-        c = canonical_form(x)
-        if c in seen:
-            continue
-        seen.add(c)
-        if len(seen) > max_states:
-            raise BudgetExceededError("lifting walk state cap exceeded",
-                                      {"states": len(seen)})
-        if c == target:
-            return True
-        if x.n > h.n:
-            for v in range(x.n):
-                stack.append(delete_vertex(x, v))
-        if x.total_units > h.total_units:
-            for a, b, _ in x.edges:
-                stack.append(delete_edge(x, a, b))
-            for y in range(x.n):
-                nbrs = sorted(x.adj[y])
-                for ai in range(len(nbrs)):
-                    for bi in range(ai + 1, len(nbrs)):
-                        stack.append(lift_pair(x, nbrs[ai], y, nbrs[bi]))
-    return False
+    return any(c == target for c in
+               _lifting_walk(g, (h.n, h.total_units), max_states))
 
 
 def subgraph_map_as_model(image) -> tuple[frozenset[int], ...]:

@@ -94,6 +94,16 @@ def test_non_closed_predicate_detected():
     assert err.value.member.n <= 4
 
 
+@pytest.mark.parametrize("n_max,mult_max", [(6, 1), (5, 2)])
+def test_subcubic_topological_minor_obstruction_is_k14(n_max, mult_max):
+    # contracting an arbitrary edge is not a topological-minor step: it would
+    # turn a subcubic graph into a degree-4 one and fail the closure check
+    rep = compute_obstructions(Relation.TOPOLOGICAL_MINOR,
+                               lambda g: max(g.degrees, default=0) <= 3,
+                               n_max, mult_max)
+    assert keys(rep) == keys([star(4)])
+
+
 def test_obstructions_are_an_antichain_by_construction():
     rep = compute_obstructions(Relation.MINOR, is_apex_forest, 5)
     assert is_antichain(Relation.MINOR, list(rep))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obskit.multigraph import MultiGraph, canonical_form, copies
+from obskit.multigraph import MultiGraph, canonical_form, copies, enumerate_graphs
 from obskit.families import (
     complete,
     complete_bipartite,
@@ -13,6 +13,7 @@ from obskit.families import (
 from obskit.relations import (
     Mode,
     Relation,
+    _single_steps,
     compose_minor_models,
     contains,
     dedup_graphs,
@@ -155,6 +156,25 @@ def test_containment_is_reflexive_and_respects_size(h, g):
         assert contains(rel, g, g, mode=Mode.MULTI)
         if h.n > g.n or h.total_units > g.total_units:
             assert not contains(rel, h, g, mode=Mode.MULTI)
+
+
+STEP_UNIVERSE = list(enumerate_graphs(4, 1)) + list(enumerate_graphs(3, 2))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("rel", [Relation.MINOR, Relation.TOPOLOGICAL_MINOR,
+                                 Relation.IMMERSION])
+def test_single_steps_are_sound_and_complete(rel, mode):
+    # simple mode orders simple graphs, so its steps start from one
+    universe = (STEP_UNIVERSE if mode is Mode.MULTI
+                else dedup_graphs(g.simplify() for g in STEP_UNIVERSE))
+    for g in universe:
+        steps = list(_single_steps(g, rel, mode))
+        for r in steps:
+            assert contains(rel, r, g, mode=mode)
+        for h in universe:
+            if contains(rel, h, g, mode=mode) and not contains(rel, g, h, mode=mode):
+                assert any(contains(rel, h, r, mode=mode) for r in steps)
 
 
 def test_immersion_reachable_set_is_downward_closed_sample():
