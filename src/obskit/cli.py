@@ -65,11 +65,9 @@ def read_graph_file(path: str) -> MultiGraph:
 
 
 def _config(args, **extra):
-    cfg = {"budget_ms": args.budget_ms, "conventions": CONVENTIONS}
-    if getattr(args, "nmax", None) is not None:
-        cfg["nmax"] = args.nmax
-    if getattr(args, "multmax", None) is not None:
-        cfg["multmax"] = args.multmax
+    cfg = {"conventions": CONVENTIONS}
+    if hasattr(args, "budget_ms"):
+        cfg["budget_ms"] = args.budget_ms
     cfg.update({k: v for k, v in extra.items() if v is not None})
     return cfg
 
@@ -131,9 +129,7 @@ def cmd_obs(args) -> int:
     except KeyError:
         raise ValueError(
             f"unknown class {args.cls!r}; choose from {sorted(BUILTIN_CLASSES)}")
-    n_max = args.nmax if args.nmax is not None else 6
-    mult_max = args.multmax if args.multmax is not None else 1
-    report = compute_obstructions(relation, predicate, n_max, mult_max,
+    report = compute_obstructions(relation, predicate, args.nmax, args.multmax,
                                   class_desc=args.cls)
     texts = [format_graph_text(g).rstrip("\n") for g in report.obstructions]
     payload = {
@@ -143,7 +139,8 @@ def cmd_obs(args) -> int:
         "obstructions": texts,
         "note": report.note,
         "config": _config(args, relation=report.relation.value,
-                          mode=report.mode.value, nmax=n_max, multmax=mult_max),
+                          mode=report.mode.value, nmax=args.nmax,
+                          multmax=args.multmax),
     }
     rows = [(g.n, g.total_units, t.replace("\n", "; "))
             for g, t in zip(report.obstructions, texts)]
@@ -296,13 +293,8 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="obskit", description=__doc__.splitlines()[0])
-    env_budget = os.environ.get("OBSKIT_BUDGET_MS")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
-    common.add_argument("--budget-ms", type=float,
-                        default=float(env_budget) if env_budget else None)
-    common.add_argument("--nmax", type=int, default=None)
-    common.add_argument("--multmax", type=int, default=None)
 
     sub = parser.add_subparsers(dest="command")
 
@@ -312,6 +304,10 @@ def build_parser() -> _Parser:
     p.add_argument("--h", required=True, metavar="PATTERN_FILE")
     p.add_argument("--g", required=True, metavar="HOST_FILE")
     p.add_argument("--mode", choices=("simple", "multi"), default=None)
+    # argparse converts a string default with `type`, so a malformed
+    # environment value is a usage error of this command alone
+    p.add_argument("--budget-ms", type=float,
+                   default=os.environ.get("OBSKIT_BUDGET_MS") or None)
     p.set_defaults(func=cmd_contain)
 
     p = sub.add_parser("param", parents=[common], help="exact parameter value")
@@ -324,6 +320,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("obs", parents=[common],
                        help="obstruction set of a built-in class")
     p.add_argument("--class", dest="cls", required=True)
+    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--multmax", type=int, default=1)
     p.set_defaults(func=cmd_obs)
 
     p = sub.add_parser("gen", parents=[common], help="emit a family member")
@@ -371,8 +369,6 @@ def _validate(args, parser):
     if args.command == "poset" and args.action in ("width", "chains") \
             and not args.poset:
         parser.error(f"poset {args.action} needs --poset")
-    if args.command == "param" and not args.z and args.kind is None:
-        parser.error("param needs --kind or --z")
 
 
 def main(argv=None) -> int:

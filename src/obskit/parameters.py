@@ -8,7 +8,8 @@ parameters stay total and monotone at the bottom.
 
 Each solver that promises a witness returns one that an independent checker
 (`layout_*_cost`, `is_z_apex_witness`) re-evaluates without consulting the
-DP tables.
+DP tables.  treewidth, pathwidth and cutwidth share one layout DP,
+`_layout_dp`, and break ties toward the lowest vertex.
 
 bi_pathwidth is the maximum pathwidth over blocks.  A minimum would not be
 minor-monotone (a pendant edge glued to K4 would drag the value down to 1),
@@ -44,15 +45,7 @@ def _check_cap(g: MultiGraph, cap: int, what: str):
             f"{what} solver capped", {"vertices": g.n, "cap": cap})
 
 
-def _neighbor_masks(g: MultiGraph) -> list[int]:
-    masks = [0] * g.n
-    for u, v, _ in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _component_mask(start: int, allowed: int, nmask: list[int]) -> int:
+def _component_mask(start: int, allowed: int, nmask: tuple[int, ...]) -> int:
     comp = 1 << start
     frontier = comp
     while frontier:
@@ -68,7 +61,7 @@ def _component_mask(start: int, allowed: int, nmask: list[int]) -> int:
     return comp
 
 
-def _mask_neighbors(mask: int, nmask: list[int]) -> int:
+def _mask_neighbors(mask: int, nmask: tuple[int, ...]) -> int:
     out = 0
     m = mask
     while m:
@@ -78,8 +71,45 @@ def _mask_neighbors(mask: int, nmask: list[int]) -> int:
     return out
 
 
-def _states_by_popcount(n: int) -> list[int]:
-    return sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
+_INF = float("inf")
+
+
+def _layout_dp(n: int, cost) -> tuple[int, Layout]:
+    """Least worst step cost over all vertex orders, with an order attaining it.
+
+    cost(prev, v) is the cost of placing v right after the prefix set prev.
+    States run in increasing integer order, which is a valid topological
+    order because every prev = s ^ bit is smaller than s; ties go to the
+    lowest v.
+    """
+    size = 1 << n
+    dp = [0] * size
+    choice = [0] * size
+    for s in range(1, size):
+        best, bv = _INF, -1
+        m = s
+        while m:
+            bit = m & -m
+            m ^= bit
+            prev = s ^ bit
+            d = dp[prev]
+            if d >= best:
+                continue
+            v = bit.bit_length() - 1
+            c = cost(prev, v)
+            val = d if d > c else c
+            if val < best:
+                best, bv = val, v
+        dp[s] = best
+        choice[s] = bv
+    order: list[int] = []
+    s = size - 1
+    while s:
+        v = choice[s]
+        order.append(v)
+        s ^= 1 << v
+    order.reverse()
+    return dp[size - 1], Layout(tuple(order))
 
 
 def treewidth(g: MultiGraph) -> tuple[int, Layout]:
@@ -92,41 +122,14 @@ def treewidth(g: MultiGraph) -> tuple[int, Layout]:
     """
     g = g.simplify()
     _check_cap(g, MAX_TREEWIDTH_VERTICES, "treewidth")
-    n = g.n
-    if n == 0:
-        return 0, Layout(())
-    nmask = _neighbor_masks(g)
-    full = (1 << n) - 1
-    size = 1 << n
-    dp = [n] * size
-    choice = [-1] * size
-    dp[0] = 0
-    for s in _states_by_popcount(n):
-        if s == 0:
-            continue
-        best, bv = n, -1
-        for v in range(n):
-            bit = 1 << v
-            if not s & bit:
-                continue
-            prev = s ^ bit
-            if dp[prev] >= best:
-                continue
-            comp = _component_mask(v, full & ~prev, nmask)
-            cost = (_mask_neighbors(comp, nmask) & prev).bit_count()
-            val = dp[prev] if dp[prev] > cost else cost
-            if val < best:
-                best, bv = val, v
-        dp[s] = best
-        choice[s] = bv
-    order: list[int] = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s ^= 1 << v
-    order.reverse()
-    return dp[full], Layout(tuple(order))
+    nmask = g.neighbor_masks
+    full = (1 << g.n) - 1
+
+    def cost(prev: int, v: int) -> int:
+        comp = _component_mask(v, full & ~prev, nmask)
+        return (_mask_neighbors(comp, nmask) & prev).bit_count()
+
+    return _layout_dp(g.n, cost)
 
 
 def treewidth_by_elimination(g: MultiGraph) -> int:
@@ -139,16 +142,12 @@ def treewidth_by_elimination(g: MultiGraph) -> int:
     g = g.simplify()
     _check_cap(g, MAX_TREEWIDTH_VERTICES, "treewidth")
     n = g.n
-    if n == 0:
-        return 0
-    nmask = _neighbor_masks(g)
+    nmask = g.neighbor_masks
     full = (1 << n) - 1
     size = 1 << n
     dp = [n] * size
     dp[0] = 0
-    for s in _states_by_popcount(n):
-        if s == 0:
-            continue
+    for s in range(1, size):
         best = n
         for v in range(n):
             bit = 1 << v
@@ -171,9 +170,7 @@ def pathwidth(g: MultiGraph) -> tuple[int, Layout]:
     g = g.simplify()
     _check_cap(g, MAX_PATHWIDTH_VERTICES, "pathwidth")
     n = g.n
-    if n == 0:
-        return 0, Layout(())
-    nmask = _neighbor_masks(g)
+    nmask = g.neighbor_masks
     full = (1 << n) - 1
     size = 1 << n
     boundary = [0] * size
@@ -186,42 +183,13 @@ def pathwidth(g: MultiGraph) -> tuple[int, Layout]:
                 b += 1
             m ^= low
         boundary[s] = b
-    dp = [n] * size
-    choice = [-1] * size
-    dp[0] = 0
-    for s in _states_by_popcount(n):
-        if s == 0:
-            continue
-        best, bv = n, -1
-        for v in range(n):
-            bit = 1 << v
-            if not s & bit:
-                continue
-            prev = s ^ bit
-            cost = boundary[prev]
-            val = dp[prev] if dp[prev] > cost else cost
-            if val < best:
-                best, bv = val, v
-        dp[s] = best
-        choice[s] = bv
-    order: list[int] = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s ^= 1 << v
-    order.reverse()
-    return dp[full], Layout(tuple(order))
+    return _layout_dp(n, lambda prev, v: boundary[prev])
 
 
 def cutwidth(g: MultiGraph) -> tuple[int, Layout]:
     """Exact cutwidth, counting multiplicities, with a witness layout."""
     _check_cap(g, MAX_CUTWIDTH_VERTICES, "cutwidth")
-    n = g.n
-    if n == 0:
-        return 0, Layout(())
-    full = (1 << n) - 1
-    size = 1 << n
+    size = 1 << g.n
     adj = g.adj
     cut = [0] * size
     for s in range(1, size):
@@ -232,32 +200,7 @@ def cutwidth(g: MultiGraph) -> tuple[int, Layout]:
         for w, m in adj[v].items():
             delta -= m if prev >> w & 1 else -m
         cut[s] = cut[prev] + delta
-    dp = [1 << 30] * size
-    choice = [-1] * size
-    dp[0] = 0
-    for s in _states_by_popcount(n):
-        if s == 0:
-            continue
-        here = cut[s]
-        best, bv = 1 << 30, -1
-        for v in range(n):
-            bit = 1 << v
-            if not s & bit:
-                continue
-            prev = s ^ bit
-            val = dp[prev] if dp[prev] > here else here
-            if val < best:
-                best, bv = val, v
-        dp[s] = best
-        choice[s] = bv
-    order: list[int] = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s ^= 1 << v
-    order.reverse()
-    return dp[full], Layout(tuple(order))
+    return _layout_dp(g.n, lambda prev, v: cut[prev | 1 << v])
 
 
 def edge_degree(g: MultiGraph) -> int:

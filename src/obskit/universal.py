@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .families import ParametricFamily, family_by_name, growth_size
 from .multigraph import MultiGraph, enum_key, enumerate_graphs
 from .parameters import ParameterKind, parameter_value
-from .relations import Mode, Relation, contains, parse_relation
+from .relations import Relation, contains, parse_relation
 
 # generous caps: scans are already bounded by the size-growth rule, these
 # only guard against runaway containment queries on mid-size members
@@ -80,16 +80,9 @@ def _scan_contained(fam: ParametricFamily, relation, g, cache):
     return check
 
 
-def p_of_sequence(fam: ParametricFamily, g: MultiGraph, *, relation=None) -> int:
+def p_of_sequence(fam: ParametricFamily, g: MultiGraph) -> int:
     """Least k with fam.member(k) not contained in g (clamped at the base)."""
-    relation = fam.relation if relation is None else parse_relation(relation)
-    contained = _scan_contained(fam, relation, g, {})
-    k = fam.base_index
-    if not contained(k):
-        return max(k - 1, 1)
-    while contained(k):
-        k += 1
-    return k
+    return p_of_collection(PrimeCollection(fam.name, fam.relation, (fam,)), g)
 
 
 def p_of_collection(coll: PrimeCollection, g: MultiGraph) -> int:
@@ -109,6 +102,10 @@ def p_of_collection(coll: PrimeCollection, g: MultiGraph) -> int:
         by_max = max(by_max, val)
 
     def eff_contained(fam, k):
+        # levels below base - 1 have no member to witness them and count as
+        # reached, matching the max-form clamp at max(base - 1, 1)
+        if k < fam.base_index - 1:
+            return True
         check = _scan_contained(fam, coll.relation, g, caches[fam.name])
         return check(max(k, fam.base_index))
 

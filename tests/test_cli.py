@@ -115,6 +115,37 @@ def test_obs_builtin_class(capsys):
     assert data["config"]["nmax"] == 5
 
 
+def test_contain_echoes_its_budget(capsys, files):
+    h = files("h.txt", format_graph_text(star(3)))
+    g = files("g.txt", format_graph_text(grid(3)))
+    code, out, _ = run(capsys, "contain", "--relation", "minor",
+                       "--h", h, "--g", g, "--budget-ms", "1000")
+    assert code == 0
+    assert json.loads(out)["config"]["budget_ms"] == 1000.0
+
+
+def test_budget_environment_default(capsys, files, monkeypatch):
+    h = files("h.txt", format_graph_text(star(3)))
+    g = files("g.txt", format_graph_text(grid(3)))
+    argv = ("contain", "--relation", "minor", "--h", h, "--g", g)
+    monkeypatch.setenv("OBSKIT_BUDGET_MS", "2000")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["config"]["budget_ms"] == 2000.0
+    monkeypatch.setenv("OBSKIT_BUDGET_MS", "soon")
+    assert run(capsys, *argv)[0] == USAGE_EXIT
+    assert run(capsys, "poset", "rado", "--n", "3")[0] == 0
+
+
+def test_flags_live_only_on_the_commands_that_use_them(capsys, files):
+    g = files("g.txt", format_graph_text(grid(2)))
+    assert run(capsys, "param", "--budget-ms", "5", "--kind", "tw",
+               "--g", g)[0] == USAGE_EXIT
+    assert run(capsys, "poset", "rado", "--n", "3", "--nmax", "4")[0] == USAGE_EXIT
+    code, out, _ = run(capsys, "poset", "rado", "--n", "3")
+    assert code == 0
+    assert "budget_ms" not in json.loads(out)["config"]
+
+
 def test_obs_unknown_class_fails_cleanly(capsys):
     code, _, err = run(capsys, "obs", "--class", "chordal")
     assert code == 1 and "unknown class" in err
@@ -200,10 +231,19 @@ def test_identical_invocations_are_byte_identical(capsys, files):
 
 
 def test_module_entry_point_runs_as_subprocess():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import obskit
+    # the child imports the same obskit as this process, installed or not
+    src = str(Path(obskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "obskit.cli", "poset", "rado", "--n", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["width"] == 3

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obskit.multigraph import MultiGraph, contract_edge, delete_edge, delete_vertex
+from obskit.multigraph import (MultiGraph, contract_edge, delete_edge,
+                               delete_vertex, enumerate_graphs)
 from obskit.families import (
     complete,
     complete_bipartite,
@@ -110,6 +113,21 @@ def test_layouts_witness_their_widths(g):
     assert layout_pathwidth_cost(g, lay) == pw
     cw, lay = cutwidth(g)
     assert layout_cutwidth_cost(g, lay) == cw
+
+
+@pytest.mark.parametrize("solver,checker", [
+    (treewidth, layout_treewidth_cost),
+    (pathwidth, layout_pathwidth_cost),
+    (cutwidth, layout_cutwidth_cost),
+])
+def test_layout_solvers_are_optimal_on_small_universes(solver, checker):
+    graphs = list(enumerate_graphs(5, 1)) + list(enumerate_graphs(4, 2))
+    assert len(graphs) == 134
+    for g in graphs:
+        value, lay = solver(g)
+        assert checker(g, lay) == value
+        assert value == min(checker(g, P.Layout(order))
+                            for order in itertools.permutations(range(g.n)))
 
 
 @settings(max_examples=30)

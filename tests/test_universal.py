@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from obskit.multigraph import MultiGraph, copies
 from obskit.families import (
+    ParametricFamily,
     STAR_FAMILY,
     TERNARY_TREE_FAMILY,
     complete,
@@ -70,6 +71,17 @@ def test_bottom_values_clamp_at_one():
     assert p_of_collection(GRID_COLLECTION, MultiGraph(0)) == 1
     assert p_of_collection(GRID_COLLECTION, MultiGraph(1)) == 1
     assert p_of_collection(DEGREE_COLLECTION, MultiGraph(1)) == 1
+
+
+def test_clamp_holds_for_a_family_starting_above_two():
+    # K_k from k = 3: a host without K3 gets the clamped value 2
+    late = ParametricFamily("complete_from_3", 3, Relation.MINOR, complete)
+    assert p_of_sequence(late, path(4)) == 2
+    assert p_of_sequence(late, K4) == 5
+    both = PrimeCollection("late_and_paths", Relation.MINOR,
+                           (late, family_by_name("path")))
+    assert p_of_collection(both, path(4)) == 5
+    assert p_of_collection(both, MultiGraph(0)) == 2
 
 
 @settings(max_examples=30)
