@@ -34,7 +34,9 @@ def main():
         if name == "apex_forest":
             third = [g for g in rep.obstructions
                      if (g.n, g.total_units) not in ((4, 6), (6, 6))]
-            assert len(third) == 1
+            if len(third) != 1:
+                raise SystemExit(f"expected one third apex-forest obstruction, "
+                                 f"found {len(third)}")
             extra = FIXTURES / "apex_forest_third_obstruction.txt"
             extra.write_text(format_graph_set(
                 third, comment="the computed third apex-forest obstruction "

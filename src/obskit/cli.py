@@ -5,7 +5,7 @@ mode, conventions) so saved outputs are self-describing.  JSON by default,
 TSV for tables; identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 domain error (bad input, budget), 2 verification
-failure, 64 usage error.
+failure, 64 usage error, 70 internal invariant failure.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .verify import SUITES, verify_suite
 from .multigraph import enumerate_graphs
 
 USAGE_EXIT = 64
+INTERNAL_EXIT = 70
 
 CONVENTIONS = {
     "minor_default_mode": "simple",
@@ -385,6 +386,11 @@ def main(argv=None) -> int:
     except (BudgetExceededError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        # the library raises AssertionError when an internal invariant fails
+        print(json.dumps({"error": f"internal invariant failed: {exc}"},
+                         sort_keys=True), file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

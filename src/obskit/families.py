@@ -24,6 +24,7 @@ Conventions pinned here and relied on by fixtures elsewhere:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,7 +32,6 @@ from .multigraph import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     MultiGraph,
-    canonical_form,
     enum_key,
     enumerate_closed,
     format_graph_text,
@@ -397,10 +397,6 @@ class ClassSpec:
         if not is_antichain(self.relation, self.obstructions):
             raise ValueError("obstruction list must be an antichain")
 
-    def key(self):
-        return (self.relation.value, self.mode.value, self.mult_cap,
-                tuple(sorted(canonical_form(o) for o in self.obstructions)))
-
     def member(self, g: MultiGraph) -> bool:
         return not any(contains(self.relation, o, g, mode=self.mode)
                        for o in self.obstructions)
@@ -451,9 +447,7 @@ CLASS_SPECS: dict[str, ClassSpec] = {
 
 # -- the omnivore constructor -----------------------------------------------------
 
-_OMNIVORE_MEMO: dict = {}
-
-
+@functools.lru_cache(maxsize=128)
 def omnivore_step(spec: ClassSpec, k: int, prev: MultiGraph | None = None,
                   n_budget: int | None = None) -> MultiGraph:
     """The enumeration-least member of the class sitting above prev and
@@ -468,10 +462,6 @@ def omnivore_step(spec: ClassSpec, k: int, prev: MultiGraph | None = None,
         raise BudgetExceededError(
             "coverage level exceeds the enumeration budget",
             {"k": k, "vertex_budget": n_budget})
-    memo_key = (spec.key(), k,
-                None if prev is None else canonical_form(prev), n_budget)
-    if memo_key in _OMNIVORE_MEMO:
-        return _OMNIVORE_MEMO[memo_key]
     targets = sorted(enumerate_closed(k, mult_cap, spec.member),
                      key=enum_key, reverse=True)
     frontier = 0
@@ -482,7 +472,6 @@ def omnivore_step(spec: ClassSpec, k: int, prev: MultiGraph | None = None,
             continue
         if all(contains(spec.relation, t, cand, mode=spec.mode)
                for t in targets):
-            _OMNIVORE_MEMO[memo_key] = cand
             return cand
     raise BudgetExceededError(
         "enumeration budget ran out before a covering member appeared",

@@ -19,6 +19,7 @@ rather than producing a garbage antichain.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -182,25 +183,17 @@ BUILTIN_CLASSES = {
 
 # -- obstruction sets of parameter level classes --------------------------------
 
-_KIND_OBS_CACHE: dict = {}
-
-
 def _kind_bounds(kind: ParameterKind, length: int):
     if kind.monotone_relation is Relation.MINOR:
         return 7, 1
     return 4, length + 1
 
 
+@functools.lru_cache(maxsize=128)
 def obstructions_for_kind(kind: ParameterKind, relation, level, n_max, mult_max):
-    relation = parse_relation(relation)
-    key = (kind.tag, tuple(canonical_form(z) for z in kind.z_list),
-           relation, level, n_max, mult_max)
-    if key not in _KIND_OBS_CACHE:
-        _KIND_OBS_CACHE[key] = compute_obstructions(
-            relation, lambda g: parameter_at_most(kind, level, g),
-            n_max, mult_max,
-            class_desc=f"{kind.tag} <= {level}")
-    return _KIND_OBS_CACHE[key]
+    return compute_obstructions(
+        parse_relation(relation), lambda g: parameter_at_most(kind, level, g),
+        n_max, mult_max, class_desc=f"{kind.tag} <= {level}")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 `contains(rel, h, g)` asks whether the host g contains the pattern h under
 the chosen relation.  All four searches are exact and deterministic.
-Subgraph, topological-minor, and immersion queries run backtracking
-searches in ascending label order; minor queries first try the subgraph
+Subgraph, topological-minor, and immersion queries share one backtracking
+placement search, `_embed`, which tries host vertices in ascending label
+order; the latter two only add a routing step for the pattern's edge units
+once every vertex is placed.  Minor queries first try the subgraph
 shortcut, then descend through single-step host reductions with
 canonical-form memoization, so a negative answer costs at most one visit
 per minor class of the (normalized) host.  Pattern and host sizes are
@@ -131,16 +133,23 @@ def _embed_order(h: MultiGraph) -> list[int]:
     return order
 
 
-def _degree_dominated(g: MultiGraph, h: MultiGraph) -> bool:
-    hd = sorted(h.edge_degrees, reverse=True)
-    gd = sorted(g.edge_degrees, reverse=True)
-    return all(a <= b for a, b in zip(hd, gd))
+def _embed(g: MultiGraph, h: MultiGraph, dl: _Deadline, finish=None) -> bool:
+    """The one vertex-placement search behind the subgraph,
+    topological-minor and immersion engines.
 
-
-def _subgraph(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
+    Places pattern vertices in `_embed_order`, trying host vertices in
+    ascending label order and skipping any with a lower edge degree.
+    Without `finish`, each placement must carry the multiplicity of every
+    edge to already-placed neighbours, so a complete placement is a
+    subgraph embedding.  With `finish`, placement is unconstrained and
+    `finish(image, used)` decides whether the pattern's edge units can be
+    routed between the images.
+    """
     if h.n > g.n or h.total_units > g.total_units:
         return False
-    if not _degree_dominated(g, h):
+    hd = sorted(h.edge_degrees, reverse=True)
+    gd = sorted(g.edge_degrees, reverse=True)
+    if any(a > b for a, b in zip(hd, gd)):
         return False
     order = _embed_order(h)
     image = [-1] * h.n
@@ -149,19 +158,21 @@ def _subgraph(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
     def place(i: int) -> bool:
         dl.check()
         if i == len(order):
-            return True
+            return finish is None or finish(image, used)
         v = order[i]
-        need = [(image[u], m) for u, m in h.adj[v].items() if image[u] >= 0]
+        need = [(image[u], m) for u, m in h.adj[v].items()
+                if image[u] >= 0] if finish is None else ()
         for w in range(g.n):
             if used[w] or g.edge_degrees[w] < h.edge_degrees[v]:
                 continue
-            if all(g.multiplicity(w, iu) >= m for iu, m in need):
-                image[v] = w
-                used[w] = True
-                if place(i + 1):
-                    return True
-                image[v] = -1
-                used[w] = False
+            if need and not all(g.multiplicity(w, iu) >= m for iu, m in need):
+                continue
+            image[v] = w
+            used[w] = True
+            if place(i + 1):
+                return True
+            image[v] = -1
+            used[w] = False
         return False
 
     return place(0)
@@ -205,7 +216,7 @@ def _minor(g: MultiGraph, h: MultiGraph, dl: _Deadline, multi: bool = False) -> 
         return g.n >= h.n
     if h.n > g.n or h.total_units > g.total_units:
         return False
-    if _subgraph(g, h, dl):
+    if _embed(g, h, dl):
         return True
     hkey = canonical_form(h)
     mode = Mode.MULTI if multi else Mode.SIMPLE
@@ -239,19 +250,12 @@ def _minor(g: MultiGraph, h: MultiGraph, dl: _Deadline, multi: bool = False) -> 
 
 
 def _topological(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
-    if h.n > g.n or h.total_units > g.total_units:
-        return False
-    if not _degree_dominated(g, h):
-        return False
-    order = _embed_order(h)
-    image = [-1] * h.n
-    used_v = [False] * g.n
-    units: list[tuple[int, int]] = []
-    for u, v, m in h.edges:
-        units.extend([(u, v)] * m)
+    """Route each pattern unit directly while host units remain between the
+    image pair, else along a path avoiding the images and the other paths."""
+    units = [(u, v) for u, v, m in h.edges for _ in range(m)]
     direct_used: dict[tuple[int, int], int] = {}
 
-    def route(qi: int) -> bool:
+    def route(image: list[int], used_v: list[bool], qi: int = 0) -> bool:
         dl.check()
         if qi == len(units):
             return True
@@ -260,7 +264,7 @@ def _topological(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
         key = (a, b) if a < b else (b, a)
         if direct_used.get(key, 0) < g.multiplicity(a, b):
             direct_used[key] = direct_used.get(key, 0) + 1
-            if route(qi + 1):
+            if route(image, used_v, qi + 1):
                 return True
             direct_used[key] -= 1
         path: list[int] = []
@@ -269,7 +273,7 @@ def _topological(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
             dl.check()
             for y in sorted(g.adj[x]):
                 if y == b:
-                    if path and route(qi + 1):
+                    if path and route(image, used_v, qi + 1):
                         return True
                 elif not used_v[y]:
                     path.append(y)
@@ -282,41 +286,16 @@ def _topological(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
 
         return dfs(a)
 
-    def place(i: int) -> bool:
-        dl.check()
-        if i == len(order):
-            return route(0)
-        v = order[i]
-        for w in range(g.n):
-            if used_v[w] or g.edge_degrees[w] < h.edge_degrees[v]:
-                continue
-            image[v] = w
-            used_v[w] = True
-            if place(i + 1):
-                return True
-            image[v] = -1
-            used_v[w] = False
-        return False
-
-    return place(0)
+    return _embed(g, h, dl, route)
 
 
 def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
-    if h.n > g.n or h.total_units > g.total_units:
-        return False
-    if not _degree_dominated(g, h):
-        return False
-    if _subgraph(g, h, dl):
-        return True
-    order = _embed_order(h)
-    image = [-1] * h.n
-    taken = [False] * g.n
+    """A subgraph embedding, or one path per pattern unit, each path using
+    up one unit of host capacity on every edge it crosses."""
+    units = [(u, v) for u, v, m in h.edges for _ in range(m)]
     cap = dict(g.edge_dict)
-    units: list[tuple[int, int]] = []
-    for u, v, m in h.edges:
-        units.extend([(u, v)] * m)
 
-    def route(qi: int) -> bool:
+    def route(image: list[int], _used: list[bool], qi: int = 0) -> bool:
         dl.check()
         if qi == len(units):
             return True
@@ -327,7 +306,7 @@ def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
         def dfs(x: int) -> bool:
             dl.check()
             if x == b:
-                return route(qi + 1)
+                return route(image, _used, qi + 1)
             visited[x] = True
             for y in sorted(g.adj[x]):
                 key = (x, y) if x < y else (y, x)
@@ -341,23 +320,7 @@ def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
 
         return dfs(a)
 
-    def place(i: int) -> bool:
-        dl.check()
-        if i == len(order):
-            return route(0)
-        v = order[i]
-        for w in range(g.n):
-            if taken[w] or g.edge_degrees[w] < h.edge_degrees[v]:
-                continue
-            image[v] = w
-            taken[w] = True
-            if place(i + 1):
-                return True
-            image[v] = -1
-            taken[w] = False
-        return False
-
-    return place(0)
+    return _embed(g, h, dl) or _embed(g, h, dl, route)
 
 
 def _reduce_host(h: MultiGraph, g: MultiGraph, multi: bool = False) -> MultiGraph:
@@ -395,20 +358,29 @@ def _reduce_host(h: MultiGraph, g: MultiGraph, multi: bool = False) -> MultiGrap
     return g
 
 
+def _children(t: MultiGraph, root: int) -> list[list[int]]:
+    """Child lists of the vertices reachable from root, by one DFS."""
+    children: list[list[int]] = [[] for _ in range(t.n)]
+    seen = [False] * t.n
+    seen[root] = True
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in t.adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                children[v].append(w)
+                stack.append(w)
+    return children
+
+
 def _is_tree(g: MultiGraph) -> bool:
     if g.n == 0 or any(m > 1 for *_, m in g.edges):
         return False
     if g.total_units != g.n - 1:
         return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    # every reached vertex but the root is someone's child
+    return sum(map(len, _children(g, 0))) == g.n - 1
 
 
 def _tree_minor(h: MultiGraph, g: MultiGraph) -> bool:
@@ -426,30 +398,9 @@ def _tree_minor(h: MultiGraph, g: MultiGraph) -> bool:
     """
     if h.n == 1:
         return True
-    gch: list[list[int]] = [[] for _ in range(g.n)]
-    stack = [0]
-    seen = [False] * g.n
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                gch[v].append(w)
-                stack.append(w)
-
+    gch = _children(g, 0)
     for root in range(h.n):
-        hch: list[list[int]] = [[] for _ in range(h.n)]
-        hstack = [root]
-        hseen = [False] * h.n
-        hseen[root] = True
-        while hstack:
-            v = hstack.pop()
-            for w in h.adj[v]:
-                if not hseen[w]:
-                    hseen[w] = True
-                    hch[v].append(w)
-                    hstack.append(w)
+        hch = _children(h, root)
         bit = {(v, c): 1 << i
                for v in range(h.n) for i, c in enumerate(hch[v])}
 
@@ -496,8 +447,11 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
 
     Size caps reject instances the search cannot be trusted to finish;
     raise them only when the instance is known to be benign (for example a
-    containment that an explicit embedding certifies).
+    containment that an explicit embedding certifies).  A budget, when
+    given, must be a positive number of milliseconds.
     """
+    if budget_ms is not None and not budget_ms > 0:
+        raise ValueError(f"budget_ms must be positive, got {budget_ms!r}")
     rel = parse_relation(rel) if isinstance(rel, str) else rel
     if mode is None:
         mode = default_mode(rel)
@@ -534,7 +488,7 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
              "max_pattern": max_pattern, "max_host": max_host})
     dl = _Deadline(budget_ms)
     if rel is Relation.SUBGRAPH:
-        return _subgraph(g, h, dl)
+        return _embed(g, h, dl)
     if rel is Relation.MINOR:
         return _minor(g, h, dl, mode is Mode.MULTI)
     if rel is Relation.TOPOLOGICAL_MINOR:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from obskit.cli import USAGE_EXIT, main
+from obskit.cli import INTERNAL_EXIT, USAGE_EXIT, main
 from obskit.families import grid, star
 from obskit.multigraph import format_graph_text, from_graph6, to_graph6
 
@@ -134,6 +134,32 @@ def test_budget_environment_default(capsys, files, monkeypatch):
     monkeypatch.setenv("OBSKIT_BUDGET_MS", "soon")
     assert run(capsys, *argv)[0] == USAGE_EXIT
     assert run(capsys, "poset", "rado", "--n", "3")[0] == 0
+
+
+def test_non_positive_budgets_are_rejected(capsys, files, monkeypatch):
+    h = files("h.txt", format_graph_text(star(3)))
+    g = files("g.txt", format_graph_text(grid(3)))
+    argv = ("contain", "--relation", "minor", "--h", h, "--g", g)
+    for budget in ("-5", "0"):
+        code, out, err = run(capsys, *argv, "--budget-ms", budget)
+        assert code == 1 and out == "" and "budget_ms" in json.loads(err)["error"]
+    monkeypatch.setenv("OBSKIT_BUDGET_MS", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out == ""
+    code, out, _ = run(capsys, *argv, "--budget-ms", "1000")
+    assert code == 0 and json.loads(out)["contains"] is True
+
+
+def test_internal_invariant_failure_exit_code(capsys, files, monkeypatch):
+    def broken(_poset):
+        raise AssertionError("chain partition disagrees with width")
+
+    monkeypatch.setattr("obskit.cli.poset_width", broken)
+    p = files("p.txt", "elem a\nelem b\nle a b\n")
+    code, out, err = run(capsys, "poset", "width", "--poset", p)
+    assert code == INTERNAL_EXIT == 70
+    assert out == ""
+    assert "chain partition" in json.loads(err)["error"]
 
 
 def test_flags_live_only_on_the_commands_that_use_them(capsys, files):

@@ -146,6 +146,14 @@ def test_omnivore_chain_matches_fixture():
         assert contains(Relation.MINOR, a, b)
 
 
+def test_omnivore_steps_are_memoized():
+    spec = CLASS_SPECS["forests"]
+    omnivore_step.cache_clear()
+    first = omnivore_step(spec, 2)
+    assert omnivore_step(spec, 2) is first
+    assert omnivore_step.cache_info().hits == 1
+
+
 def test_omnivore_rejects_bad_index():
     with pytest.raises(ValueError):
         omnivore_step(CLASS_SPECS["forests"], 0)

@@ -16,6 +16,7 @@ from obskit.obstructions import (
     is_subcubic_forest,
     is_theta_like,
     obstruction_chain,
+    obstructions_for_kind,
     universal_sample_check,
 )
 from obskit.parameters import EDGE_DEGREE, TREEWIDTH
@@ -190,3 +191,11 @@ def test_universal_sample_check_embeds_into_grids():
     assert [e.level for e in rep.entries] == [1, 2]
     assert all(e.note == "embedded" for e in rep.entries)
     assert [(e.family, e.index) for e in rep.entries] == [("grid", 2), ("grid", 3)]
+
+
+def test_kind_obstructions_are_memoized():
+    obstructions_for_kind.cache_clear()
+    first = obstructions_for_kind(TREEWIDTH, Relation.MINOR, 0, 3, 1)
+    assert obstructions_for_kind(TREEWIDTH, Relation.MINOR, 0, 3, 1) is first
+    assert obstructions_for_kind.cache_info().hits == 1
+    assert keys(first) == keys([path(2)])

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +102,16 @@ def test_empty_and_tiny_patterns():
     assert not contains(Relation.MINOR, MultiGraph(1), MultiGraph(0))
 
 
+def test_non_positive_budgets_are_rejected():
+    # even pairs the size comparison decides at once
+    for budget in (0, -5, float("nan")):
+        with pytest.raises(ValueError):
+            contains(Relation.MINOR, K4, K3, budget_ms=budget)
+        with pytest.raises(ValueError):
+            contains(Relation.SUBGRAPH, K3, K4, budget_ms=budget)
+    assert contains(Relation.MINOR, K3, K4, budget_ms=1000)
+
+
 def test_size_caps_guard_the_search():
     from obskit.multigraph import BudgetExceededError
     big = path(12)
@@ -175,6 +187,33 @@ def test_single_steps_are_sound_and_complete(rel, mode):
         for h in universe:
             if contains(rel, h, g, mode=mode) and not contains(rel, g, h, mode=mode):
                 assert any(contains(rel, h, r, mode=mode) for r in steps)
+
+
+def _step_closure(g, rel):
+    seen = {canonical_form(g)}
+    stack = [g]
+    while stack:
+        for r in _single_steps(stack.pop(), rel, Mode.MULTI):
+            c = canonical_form(r)
+            if c not in seen:
+                seen.add(c)
+                stack.append(r)
+    return seen
+
+
+def test_placement_engines_match_brute_force_exhaustively():
+    universe = list(enumerate_graphs(4, 2))
+    assert len(universe) == 81
+    for g in universe:
+        closures = {rel: _step_closure(g, rel) for rel in
+                    (Relation.TOPOLOGICAL_MINOR, Relation.IMMERSION)}
+        for h in universe:
+            for rel, closure in closures.items():
+                assert contains(rel, h, g, mode=Mode.MULTI) == \
+                    (canonical_form(h) in closure), (rel, h, g)
+            brute = any(verify_subgraph_map(h, g, m)
+                        for m in itertools.permutations(range(g.n), h.n))
+            assert contains(Relation.SUBGRAPH, h, g, mode=Mode.MULTI) == brute, (h, g)
 
 
 def test_immersion_reachable_set_is_downward_closed_sample():
