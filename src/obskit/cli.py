@@ -14,14 +14,14 @@ import json
 import os
 import sys
 
-from .families import FAMILIES, family_by_name
+from .families import family_by_name
 from .multigraph import (BudgetExceededError, MultiGraph, format_graph_text,
                          from_graph6, parse_graph_text)
 from .obstructions import BUILTIN_CLASSES, compute_obstructions
 from .parameters import parse_kind, parameter_value, z_apex, z_apex_kind
 from .poset import (chain_partition, parse_poset_text, poset_width,
                     rado_star_antichain_witness, rado_truncation)
-from .relations import Mode, Relation, contains, default_mode, parse_relation
+from .relations import Mode, contains, default_mode, parse_relation
 from .universal import (CERTIFICATES, COLLECTIONS, approximate, gap_report,
                         p_of_collection, parse_collection_spec,
                         theta_star_corpus, tree_corpus)

@@ -8,13 +8,16 @@ solvers, obstruction scans) relies on three guarantees made here:
 * `canonical_form` returns identical bytes exactly for isomorphic graphs,
 * `enum_key` is a total order refining vertex count, so enumeration order is
   reproducible across runs and platforms,
-* `enumerate_graphs` yields exactly one representative per isomorphism class.
+* `enumerate_graphs` yields exactly one representative per isomorphism class,
+  canonically labelled: its vertex i is vertex i of the canonical order, so
+  the representative depends only on the class, never on how enumeration
+  reached it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator
 
 
@@ -105,7 +108,11 @@ class MultiGraph:
 
     @cached_property
     def adj(self) -> tuple[dict[int, int], ...]:
-        """Per-vertex neighbor -> multiplicity maps."""
+        """Per-vertex neighbor -> multiplicity maps.
+
+        Keys ascend, because `edges` is sorted: iterating `adj[v]` visits
+        v's neighbors in label order without a sort.
+        """
         a: list[dict[int, int]] = [dict() for _ in range(self.n)]
         for u, v, m in self.edges:
             a[u][v] = m
@@ -370,11 +377,29 @@ def canonical_form(g: MultiGraph) -> bytes:
     return g._canonical
 
 
+def _from_canonical(key: bytes, pool: dict | None = None) -> MultiGraph:
+    """The graph of a canonical form, with canonical vertex i at label i.
+
+    The form is seeded as the graph's cached canonical form.  Equal edge
+    tuples are shared through `pool` when one is given, which keeps a layer
+    of thousands of decoded graphs small.
+    """
+    n = key[0]
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            m = key[1 + v * (v - 1) // 2 + u]
+            if m:
+                e = (u, v, m)
+                edges.append(e if pool is None else pool.setdefault(e, e))
+    g = MultiGraph(n, tuple(edges))
+    g.__dict__["_canonical"] = key
+    return g
+
+
 def relabel_canonically(g: MultiGraph) -> MultiGraph:
     """An isomorphic copy whose labels follow the canonical order."""
-    order = _canonical_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    return MultiGraph.build(g.n, [(pos[u], pos[v], m) for u, v, m in g.edges])
+    return _from_canonical(canonical_form(g))
 
 
 def tree_code(g: MultiGraph) -> str | None:
@@ -447,32 +472,51 @@ def _check_enum_budget(n_max: int, mult_max: int, budget: EnumBudget):
             {"n_max": n_max, "mult_max": mult_max, "allowed": cap})
 
 
-def _extend_layer(layer: list[MultiGraph], n: int, mult_max: int,
+def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int,
                   member: Callable[[MultiGraph], bool] | None = None) -> list[MultiGraph]:
-    """All isomorphism classes on n vertices obtained by attaching one vertex.
+    """All isomorphism classes on n vertices obtained by attaching one vertex,
+    canonically labelled and in `enum_key` order.
 
-    Every graph on n vertices arises this way from the class of any of its
-    single-vertex deletions, so extending every (n-1)-class by every
-    attachment pattern is exhaustive.
+    A child is kept only when its new vertex n-1 has the lexicographically
+    largest (edge degree, distinct neighbours) of all its vertices; the test
+    reads the parent's degrees and the attachment tuple, before any child is
+    built.  The rule loses no class: every graph on n vertices has a vertex
+    of largest value, deleting it leaves a graph whose class is in `layer`
+    (for `member`, because the class is closed under vertex deletion), and
+    attaching the vertex back to that class's representative gives a child
+    isomorphic to the graph, whose new vertex has the largest value.
     """
-    seen: dict[bytes, MultiGraph] = {}
+    keys: set[bytes] = set()
     for parent in layer:
-        base = list(parent.edges)
+        base = parent.edges
+        ed, dg = parent.edge_degrees, parent.degrees
         for attach in itertools.product(range(mult_max + 1), repeat=n - 1):
-            extra = [(u, n - 1, m) for u, m in enumerate(attach) if m > 0]
+            top = (sum(attach), n - 1 - attach.count(0))
+            if any((ed[u] + m, dg[u] + (m > 0)) > top for u, m in enumerate(attach)):
+                continue
+            extra = tuple((u, n - 1, m) for u, m in enumerate(attach) if m > 0)
             child = MultiGraph(n, tuple(sorted(base + extra)))
             if member is not None and not member(child):
                 continue
-            key = canonical_form(child)
-            if key not in seen:
-                seen[key] = child
-    return sorted(seen.values(), key=enum_key)
+            keys.add(canonical_form(child))
+    pool: dict = {}
+    return sorted((_from_canonical(k, pool) for k in keys), key=enum_key)
+
+
+@lru_cache(maxsize=128)
+def _layer(n: int, mult_max: int) -> tuple[MultiGraph, ...]:
+    """Every class on exactly n vertices with multiplicities at most
+    mult_max, in enumeration order; each layer is built once per process."""
+    if n == 0:
+        return (K0,)
+    return tuple(_extend_layer(_layer(n - 1, mult_max), n, mult_max))
 
 
 def enumerate_graphs(n_max: int, mult_max: int = 1,
                      predicate: Callable[[MultiGraph], bool] | None = None,
                      budget: EnumBudget = DEFAULT_ENUM_BUDGET) -> Iterator[MultiGraph]:
-    """One representative per isomorphism class, in enumeration order.
+    """One canonically labelled representative per isomorphism class, in
+    enumeration order.
 
     Covers every graph with at most n_max vertices and edge multiplicities at
     most mult_max.  `predicate` filters the output only; generation itself is
@@ -481,12 +525,8 @@ def enumerate_graphs(n_max: int, mult_max: int = 1,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_enum_budget(n_max, mult_max, budget)
-    layer = [K0]
-    if predicate is None or predicate(K0):
-        yield K0
-    for n in range(1, n_max + 1):
-        layer = _extend_layer(layer, n, mult_max)
-        for g in layer:
+    for n in range(n_max + 1):
+        for g in _layer(n, mult_max):
             if predicate is None or predicate(g):
                 yield g
 
@@ -496,7 +536,7 @@ def enumerate_closed(n_max: int, mult_max: int,
     """Members of a vertex-deletion-closed class, in enumeration order.
 
     Layers are grown inside the class: a member on n vertices stays a member
-    after deleting its last vertex, so extending member classes reaches every
+    after deleting any vertex, so extending member classes reaches every
     member.  No budget cap applies; callers bound n_max themselves.
     """
     if member(K0):

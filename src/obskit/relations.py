@@ -197,7 +197,7 @@ def _single_steps(g: MultiGraph, rel: Relation, mode: Mode):
                 yield contract_edge(g, y, min(g.adj[y]), simple=simple)
     elif rel is Relation.IMMERSION:
         for y in range(g.n):
-            nbrs = sorted(g.adj[y])
+            nbrs = list(g.adj[y])
             for i, x in enumerate(nbrs):
                 for z in nbrs[i + 1:]:
                     yield lift_pair(g, x, y, z)
@@ -271,7 +271,7 @@ def _topological(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
 
         def dfs(x: int) -> bool:
             dl.check()
-            for y in sorted(g.adj[x]):
+            for y in g.adj[x]:
                 if y == b:
                     if path and route(image, used_v, qi + 1):
                         return True
@@ -308,7 +308,7 @@ def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
             if x == b:
                 return route(image, _used, qi + 1)
             visited[x] = True
-            for y in sorted(g.adj[x]):
+            for y in g.adj[x]:
                 key = (x, y) if x < y else (y, x)
                 if not visited[y] and cap[key] > 0:
                     cap[key] -= 1

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +17,7 @@ from obskit.multigraph import (
     delete_vertex,
     disjoint_union,
     enum_key,
+    enumerate_closed,
     enumerate_graphs,
     format_graph_set,
     format_graph_text,
@@ -25,7 +29,10 @@ from obskit.multigraph import (
     subdivide_edge,
     to_graph6,
     tree_code,
+    _canonical_bytes,
+    _layer,
 )
+from obskit.obstructions import is_forest
 
 from conftest import multigraphs, shuffled
 
@@ -51,6 +58,12 @@ def test_build_normalizes_pairs_and_accumulates():
     assert g.total_units == 4
     assert g.multiplicity(2, 1) == 2
     assert g.multiplicity(0, 2) == 0
+
+
+@given(multigraphs(max_n=7, max_mult=3))
+def test_adjacency_keys_ascend(g):
+    for v in range(g.n):
+        assert list(g.adj[v]) == sorted(g.adj[v])
 
 
 def test_constructor_rejects_bad_edges():
@@ -204,6 +217,60 @@ def test_enumeration_is_sorted_and_duplicate_free():
     keys = [enum_key(g) for g in enumerate_graphs(5, 2)]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
+
+
+def _brute_force_forms(n_max, mult_max):
+    """Canonical forms of every labelled graph on at most n_max vertices,
+    one per class, in enumeration order."""
+    classes = {}
+    for n in range(n_max + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mults in itertools.product(range(mult_max + 1), repeat=len(pairs)):
+            g = MultiGraph(n, tuple((u, v, m) for (u, v), m in zip(pairs, mults) if m))
+            classes.setdefault(canonical_form(g), g)
+    return [canonical_form(g) for g in sorted(classes.values(), key=enum_key)]
+
+
+@pytest.mark.parametrize("n_max,mult_max", [(5, 1), (4, 2), (3, 3)])
+def test_enumeration_matches_brute_force(n_max, mult_max):
+    assert ([canonical_form(g) for g in enumerate_graphs(n_max, mult_max)]
+            == _brute_force_forms(n_max, mult_max))
+
+
+@pytest.mark.parametrize("n_max,mult_max", [(6, 1), (5, 2)])
+def test_enumerated_graphs_are_canonically_labelled(n_max, mult_max):
+    for g in enumerate_graphs(n_max, mult_max):
+        assert _canonical_bytes(g) == canonical_form(g)
+        assert relabel_canonically(g) == g
+
+
+@pytest.mark.parametrize("n_max,mult_max,digest", [
+    (7, 1, "1277d987d1d9cc9b62b320fc8a9b2a85f3686d011a17525ec4c14aae2272caf6"),
+    (5, 2, "e09b093d095031b5bbda16b424773a46802f3fd340026fa84b967ba7445783e7"),
+])
+def test_enumeration_sequence_pinned(n_max, mult_max, digest):
+    forms = b"".join(canonical_form(g) for g in enumerate_graphs(n_max, mult_max))
+    assert hashlib.sha256(forms).hexdigest() == digest
+
+
+def test_enumeration_count_six_vertices_multiplicity_two():
+    assert sum(1 for _ in enumerate_graphs(6, 2)) == 26379
+
+
+@pytest.mark.parametrize("n_max,mult_max,member", [
+    (6, 1, is_forest),
+    (5, 2, lambda g: max(g.edge_degrees, default=0) <= 3),
+])
+def test_enumerate_closed_matches_filtered_enumeration(n_max, mult_max, member):
+    assert (list(enumerate_closed(n_max, mult_max, member))
+            == list(enumerate_graphs(n_max, mult_max, predicate=member)))
+
+
+def test_layers_are_memoized():
+    first = _layer(4, 2)
+    hits = _layer.cache_info().hits
+    assert _layer(4, 2) is first
+    assert _layer.cache_info().hits > hits
 
 
 def test_enumeration_respects_predicate():
