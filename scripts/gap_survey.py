@@ -1,7 +1,10 @@
 """Survey how far collection values drift from exact parameter values."""
 
 import argparse
+import pathlib
 import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from obskit.universal import (
     CERTIFICATES,

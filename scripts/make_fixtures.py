@@ -8,6 +8,7 @@ isomorphism, so a change of vertex labels alone leaves it as it is.  The test
 suite compares fresh computations against these files, so regenerate only
 when a deliberate change to the generators or scan bounds is being made.
 """
+import argparse
 import pathlib
 import sys
 
@@ -33,6 +34,7 @@ def write_fixture(name, graphs, comment):
 
 
 def main():
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     FIXTURES.mkdir(parents=True, exist_ok=True)
     for name, (n_max, mult_max) in FIXTURE_BOUNDS.items():
         relation, predicate = BUILTIN_CLASSES[name]

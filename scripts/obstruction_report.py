@@ -9,8 +9,11 @@ default bounds.
 """
 
 import argparse
+import pathlib
 import sys
 import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from obskit.obstructions import BUILTIN_CLASSES, compute_obstructions, fixture_graphs
 from obskit.multigraph import format_graph_text

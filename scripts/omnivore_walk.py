@@ -7,7 +7,10 @@ re-verifies every consecutive containment.
 """
 
 import argparse
+import pathlib
 import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from obskit.families import CLASS_SPECS, omnivore_chain, parse_class_spec
 from obskit.multigraph import format_graph_text

@@ -300,8 +300,9 @@ def _stable_colors(n: int, mat: list[list[int]], colors: list[int]) -> list[int]
         colors = new
 
 
-def _canonical_order(g: MultiGraph) -> list[int]:
-    """A vertex order realizing the minimal adjacency encoding.
+def _canonical_bytes(g: MultiGraph) -> bytes:
+    """The minimal adjacency encoding: n, then the lower triangle of the
+    multiplicity matrix row by row, over all admissible vertex orders.
 
     The search places vertices in blocks of the refined coloring (valid since
     refinement is isomorphism-invariant) and prunes on the partial encoding.
@@ -309,8 +310,11 @@ def _canonical_order(g: MultiGraph) -> list[int]:
     at the sizes enumeration works with.
     """
     n = g.n
-    if n == 0:
-        return []
+    if n > 255:
+        raise BudgetExceededError("canonical form limited to 255 vertices", {"n": n})
+    if g.max_multiplicity() > 255:
+        raise BudgetExceededError("multiplicity beyond canonical byte range",
+                                  {"multiplicity": g.max_multiplicity()})
     mat = _mult_matrix(g)
     colors = _stable_colors(n, mat, [0] * n)
     by_color: dict[int, list[int]] = {}
@@ -319,16 +323,14 @@ def _canonical_order(g: MultiGraph) -> list[int]:
     color_seq = sorted(by_color)
 
     best_rows: list[tuple[int, ...]] | None = None
-    best_order: list[int] | None = None
     order: list[int] = []
     remaining = {c: set(vs) for c, vs in by_color.items()}
 
     def dfs(depth: int, rows: list[tuple[int, ...]]):
-        nonlocal best_rows, best_order
+        nonlocal best_rows
         if depth == n:
             if best_rows is None or rows < best_rows:
                 best_rows = list(rows)
-                best_order = list(order)
             return
         block = 0
         while not remaining[color_seq[block]]:
@@ -349,27 +351,9 @@ def _canonical_order(g: MultiGraph) -> list[int]:
             cell.add(v)
 
     dfs(0, [])
-    if best_order is None:
+    if best_rows is None:
         raise AssertionError("canonical search placed no complete order; bug")
-    return best_order
-
-
-def _canonical_bytes(g: MultiGraph) -> bytes:
-    n = g.n
-    if n > 255:
-        raise BudgetExceededError("canonical form limited to 255 vertices", {"n": n})
-    order = _canonical_order(g)
-    mat = _mult_matrix(g)
-    vals = bytearray()
-    vals.append(n)
-    for i in range(n):
-        for j in range(i):
-            m = mat[order[i]][order[j]]
-            if m > 255:
-                raise BudgetExceededError("multiplicity beyond canonical byte range",
-                                          {"multiplicity": m})
-            vals.append(m)
-    return bytes(vals)
+    return bytes([n, *itertools.chain.from_iterable(best_rows)])
 
 
 def canonical_form(g: MultiGraph) -> bytes:
@@ -402,6 +386,44 @@ def relabel_canonically(g: MultiGraph) -> MultiGraph:
     return _from_canonical(canonical_form(g))
 
 
+def _component_mask(start: int, allowed: int, nmask: tuple[int, ...]) -> int:
+    comp = 1 << start
+    frontier = comp
+    while frontier:
+        grown = 0
+        m = frontier
+        while m:
+            low = m & -m
+            grown |= nmask[low.bit_length() - 1]
+            m ^= low
+        grown &= allowed & ~comp
+        comp |= grown
+        frontier = grown
+    return comp
+
+
+def _forest(g: MultiGraph, gone: int = 0) -> bool:
+    """Whether g minus the vertices in the bitmask `gone` is a forest.
+
+    A parallel pair is a two-edge cycle.  Without one, the graph is a forest
+    exactly when it has (vertices - components) edges.
+    """
+    edges = 0
+    for u, v, m in g.edges:
+        if not (gone >> u | gone >> v) & 1:
+            if m > 1:
+                return False
+            edges += 1
+    nmask = g.neighbor_masks
+    left = allowed = ((1 << g.n) - 1) & ~gone
+    components = 0
+    while left:
+        low = left & -left
+        left &= ~_component_mask(low.bit_length() - 1, allowed, nmask)
+        components += 1
+    return edges == allowed.bit_count() - components
+
+
 def tree_code(g: MultiGraph) -> str | None:
     """Canonical code for a simple connected acyclic graph, else None.
 
@@ -409,7 +431,7 @@ def tree_code(g: MultiGraph) -> str | None:
     isomorphism stays cheap where the generic canonical search would choke
     on leaf symmetry.
     """
-    if g.n == 0 or g.total_units != g.n - 1 or any(m > 1 for *_, m in g.edges):
+    if g.n == 0 or g.total_units != g.n - 1 or not _forest(g):
         return None
     if g.n == 1:
         return "()"
@@ -419,16 +441,12 @@ def tree_code(g: MultiGraph) -> str | None:
     while remaining > 2:
         nxt = []
         for v in layer:
-            if not adj[v]:
-                continue
             (w,) = adj[v]
             adj[w].discard(v)
             adj[v].clear()
             if len(adj[w]) == 1:
                 nxt.append(w)
         remaining -= len(layer)
-        if not nxt and remaining > 2:
-            return None   # a cycle survived the peeling
         layer = nxt
 
     def code(v, parent):

@@ -16,6 +16,10 @@ with more vertices is invisible, so every report carries its bound and a note
 saying so.  Predicates are assumed closed; a deterministic sample of members
 has all of its reductions re-checked, and a counterexample aborts the scan
 rather than producing a garbage antichain.
+
+The forest predicates run on every enumerated graph and every reduction, so
+they share `multigraph._forest`, a count of edges against components on
+neighbour masks; only outerplanarity goes through networkx's planarity test.
 """
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ import networkx as nx
 
 from .multigraph import (
     MultiGraph,
+    _forest,
     canonical_form,
-    delete_vertex,
     enumerate_graphs,
     parse_graph_set,
 )
@@ -111,37 +115,25 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
 # -- built-in class predicates --------------------------------------------------
 
 
-def _nx_simple(g):
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from((u, v) for u, v, _ in g.edges)
-    return G
-
-
 def is_forest(g) -> bool:
     """No cycles; a parallel pair already counts as a two-edge cycle."""
-    if any(m > 1 for *_, m in g.edges):
-        return False
-    if g.n == 0:
-        return True
-    return nx.is_forest(_nx_simple(g))
+    return _forest(g)
 
 
 def is_outerplanar(g) -> bool:
     """Planar with every vertex on one face: adding a universal vertex must
     keep the graph planar.  Equivalent to excluding K4 and K_{2,3} as minors,
     which is exactly what the obstruction scan recovers."""
-    H = _nx_simple(g)
-    H.add_node(g.n)
+    H = nx.Graph()
+    H.add_nodes_from(range(g.n + 1))
+    H.add_edges_from((u, v) for u, v, _ in g.edges)
     H.add_edges_from((g.n, v) for v in range(g.n))
     return nx.check_planarity(H, counterexample=False)[0]
 
 
 def is_apex_forest(g) -> bool:
     """Some single vertex deletion (or none) leaves a forest."""
-    if is_forest(g):
-        return True
-    return any(is_forest(delete_vertex(g, v)) for v in range(g.n))
+    return any(_forest(g, gone) for gone in [0] + [1 << v for v in range(g.n)])
 
 
 def is_subcubic_forest(g) -> bool:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .multigraph import BudgetExceededError, MultiGraph, delete_vertex
+from .multigraph import (BudgetExceededError, MultiGraph, _component_mask,
+                         delete_vertex)
 from .relations import Relation, contains
 
 MAX_TREEWIDTH_VERTICES = 16
@@ -43,22 +44,6 @@ def _check_cap(g: MultiGraph, cap: int, what: str):
     if g.n > cap:
         raise BudgetExceededError(
             f"{what} solver capped", {"vertices": g.n, "cap": cap})
-
-
-def _component_mask(start: int, allowed: int, nmask: tuple[int, ...]) -> int:
-    comp = 1 << start
-    frontier = comp
-    while frontier:
-        grown = 0
-        m = frontier
-        while m:
-            low = m & -m
-            grown |= nmask[low.bit_length() - 1]
-            m ^= low
-        grown &= allowed & ~comp
-        comp |= grown
-        frontier = grown
-    return comp
 
 
 def _mask_neighbors(mask: int, nmask: tuple[int, ...]) -> int:

@@ -45,6 +45,7 @@ from enum import Enum
 from .multigraph import (
     BudgetExceededError,
     MultiGraph,
+    _forest,
     are_isomorphic,
     canonical_form,
     contract_edge,
@@ -375,12 +376,7 @@ def _children(t: MultiGraph, root: int) -> list[list[int]]:
 
 
 def _is_tree(g: MultiGraph) -> bool:
-    if g.n == 0 or any(m > 1 for *_, m in g.edges):
-        return False
-    if g.total_units != g.n - 1:
-        return False
-    # every reached vertex but the root is someone's child
-    return sum(map(len, _children(g, 0))) == g.n - 1
+    return g.n > 0 and g.total_units == g.n - 1 and _forest(g)
 
 
 def _tree_minor(h: MultiGraph, g: MultiGraph) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .families import ParametricFamily, family_by_name, growth_size
 from .multigraph import MultiGraph, enum_key, enumerate_graphs
 from .parameters import ParameterKind, parameter_value
-from .relations import Relation, contains, parse_relation
+from .relations import Mode, Relation, contains, default_mode, parse_relation
 
 # generous caps: scans are already bounded by the size-growth rule, these
 # only guard against runaway containment queries on mid-size members
@@ -57,12 +57,8 @@ class PrimeCollection:
         return min(f.base_index for f in self.families)
 
 
-def _member_fits(member, g) -> bool:
-    return (member.n <= g.n and member.total_units <= g.total_units)
-
-
 def _scan_contained(fam: ParametricFamily, relation, g, cache):
-    """cache[k] = is fam.member(k) contained in g, with size short-circuit."""
+    """cache[k] = is fam.member(k) contained in g; sizes must grow with k."""
 
     def check(k: int) -> bool:
         if k not in cache:
@@ -73,8 +69,8 @@ def _scan_contained(fam: ParametricFamily, relation, g, cache):
                 raise ValueError(
                     f"family {fam.name} does not grow strictly at index {k}")
             cache[("size", k)] = size
-            cache[k] = _member_fits(m, g) and contains(
-                relation, m, g, max_pattern=_MAX_PATTERN, max_host=_MAX_HOST)
+            cache[k] = contains(relation, m, g, max_pattern=_MAX_PATTERN,
+                                max_host=_MAX_HOST)
         return cache[k]
 
     return check
@@ -126,19 +122,21 @@ def p_of_prefix(relation, graphs, g, *, base_index=1, mode=None):
     Returns (value, certified).  The value is exact for the infinite
     sequence only when the prefix already outgrows g, which is what the
     certified flag reports; on a non-growing ad hoc prefix it is a lower
-    bound.
+    bound.  The last member is measured as `contains` sees it, so simple
+    mode measures its simplification.
     """
     relation = parse_relation(relation)
+    mode = default_mode(relation) if mode is None else Mode(mode)
     graphs = list(graphs)
-    contained = [
-        _member_fits(m, g) and contains(relation, m, g, mode=mode,
-                                        max_pattern=_MAX_PATTERN,
-                                        max_host=_MAX_HOST)
-        for m in graphs]
+    contained = [contains(relation, m, g, mode=mode, max_pattern=_MAX_PATTERN,
+                          max_host=_MAX_HOST)
+                 for m in graphs]
     hits = [i for i, c in enumerate(contained) if c]
     value = base_index + hits[-1] + 1 if hits else max(base_index - 1, 1)
-    certified = bool(graphs) and growth_size(graphs[-1]) > growth_size(g)
-    return value, certified
+    if not graphs:
+        return value, False
+    last = graphs[-1].simplify() if mode is Mode.SIMPLE else graphs[-1]
+    return value, growth_size(last) > growth_size(g)
 
 
 # -- gap functions ----------------------------------------------------------------

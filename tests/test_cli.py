@@ -273,3 +273,19 @@ def test_module_entry_point_runs_as_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["width"] == 3
+
+
+@pytest.mark.parametrize("script", ["gap_survey.py", "make_fixtures.py",
+                                    "obstruction_report.py", "omnivore_walk.py"])
+def test_scripts_run_from_a_plain_checkout(script, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(path), "--help"], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout

@@ -1,6 +1,8 @@
+import networkx as nx
 import pytest
 
-from obskit.multigraph import MultiGraph, canonical_form, copies
+from obskit.multigraph import (MultiGraph, canonical_form, copies,
+                               enumerate_graphs, tree_code)
 from obskit.families import complete, complete_bipartite, grid, path, star, theta
 from obskit.obstructions import (
     BUILTIN_CLASSES,
@@ -20,7 +22,7 @@ from obskit.obstructions import (
     universal_sample_check,
 )
 from obskit.parameters import EDGE_DEGREE, TREEWIDTH
-from obskit.relations import Relation, is_antichain
+from obskit.relations import Relation, _is_tree, is_antichain
 from obskit.families import GRID_FAMILY, COMPLETE_FAMILY
 
 K3, K4 = complete(3), complete(4)
@@ -52,6 +54,31 @@ def test_apex_forest_predicate():
     assert is_apex_forest(grid(2))
     assert not is_apex_forest(K4)
     assert not is_apex_forest(copies(2, K3))
+
+
+def _nx_multigraph(g, gone=()):
+    G = nx.MultiGraph()
+    G.add_nodes_from(v for v in range(g.n) if v not in gone)
+    G.add_edges_from((u, v) for u, v, m in g.edges for _ in range(m)
+                     if u not in gone and v not in gone)
+    return G
+
+
+def test_forest_tests_match_networkx_exhaustively():
+    # an nx.MultiGraph keeps parallel pairs, which networkx counts as cycles
+    def nx_forest(G):
+        return len(G) == 0 or nx.is_forest(G)
+
+    graphs = [*enumerate_graphs(7, 1), *enumerate_graphs(5, 2)]
+    assert len(graphs) == 2126
+    for g in graphs:
+        forest = nx_forest(_nx_multigraph(g))
+        assert is_forest(g) == forest
+        assert is_apex_forest(g) == (forest or any(
+            nx_forest(_nx_multigraph(g, {v})) for v in range(g.n)))
+        tree = g.n > 0 and nx.is_tree(_nx_multigraph(g))
+        assert _is_tree(g) == tree
+        assert (tree_code(g) is not None) == tree
 
 
 def test_degree_restricted_predicates():

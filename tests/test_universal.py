@@ -150,6 +150,14 @@ def test_p_of_prefix_certified_flag():
     assert p_of_prefix(Relation.MINOR, short, complete(10), base_index=2) == (4, False)
 
 
+def test_p_of_prefix_measures_members_as_contains_does():
+    # simple mode sees theta(2) as K2, which path(2) contains
+    assert contains(Relation.MINOR, theta(2), path(2))
+    assert p_of_prefix(Relation.MINOR, [theta(2)], path(2)) == (2, False)
+    assert p_of_prefix(Relation.MINOR, [theta(2)], path(2),
+                       mode=Mode.MULTI) == (1, True)
+
+
 def test_p_of_prefix_empty_prefix_is_uncertified_clamp():
     assert p_of_prefix(Relation.MINOR, [], K3) == (1, False)
     assert p_of_prefix(Relation.MINOR, [], K3, base_index=3) == (2, False)
