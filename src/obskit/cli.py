@@ -21,7 +21,7 @@ from .obstructions import BUILTIN_CLASSES, compute_obstructions
 from .parameters import parse_kind, parameter_value, z_apex, z_apex_kind
 from .poset import (chain_partition, parse_poset_text, poset_width,
                     rado_star_antichain_witness, rado_truncation)
-from .relations import Mode, contains, default_mode, parse_relation
+from .relations import Mode, Relation, contains, default_mode, parse_relation
 from .universal import (CERTIFICATES, COLLECTIONS, approximate, gap_report,
                         p_of_collection, parse_collection_spec,
                         theta_star_corpus, tree_corpus)
@@ -32,10 +32,7 @@ USAGE_EXIT = 64
 INTERNAL_EXIT = 70
 
 CONVENTIONS = {
-    "minor_default_mode": "simple",
-    "topological_minor_default_mode": "simple",
-    "subgraph_default_mode": "multi",
-    "immersion_default_mode": "multi",
+    **{f"{rel.value}_default_mode": default_mode(rel).value for rel in Relation},
     "cutwidth_counts_multiplicities": True,
     "bi_pathwidth_block_rule": "max",
     "grid_base_index": 2,

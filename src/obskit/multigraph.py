@@ -26,10 +26,10 @@ class GraphFormatError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a request exceeds the configured size caps.
+    """Raised when a request exceeds the configured size caps or time budget.
 
-    `detail` carries the offending sizes so callers (and the CLI) can report
-    what was asked for versus what is allowed.
+    `detail` carries the offending sizes, or the budget and the time spent,
+    so callers can report what was asked for versus what is allowed.
     """
 
     def __init__(self, message: str, detail: dict | None = None):

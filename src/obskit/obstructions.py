@@ -19,7 +19,8 @@ rather than producing a garbage antichain.
 
 The forest predicates run on every enumerated graph and every reduction, so
 they share `multigraph._forest`, a count of edges against components on
-neighbour masks; only outerplanarity goes through networkx's planarity test.
+neighbour masks.  Only outerplanarity goes through networkx's planarity
+test, and only for graphs that are neither forests nor too dense.
 """
 from __future__ import annotations
 
@@ -123,7 +124,15 @@ def is_forest(g) -> bool:
 def is_outerplanar(g) -> bool:
     """Planar with every vertex on one face: adding a universal vertex must
     keep the graph planar.  Equivalent to excluding K4 and K_{2,3} as minors,
-    which is exactly what the obstruction scan recovers."""
+    which is exactly what the obstruction scan recovers.
+
+    Two exact exits come first: a forest is outerplanar, and an
+    outerplanar graph on n >= 2 vertices (as every non-forest is) has at
+    most 2n - 3 adjacent pairs."""
+    if _forest(g):
+        return True
+    if len(g.edges) > 2 * g.n - 3:
+        return False
     H = nx.Graph()
     H.add_nodes_from(range(g.n + 1))
     H.add_edges_from((u, v) for u, v, _ in g.edges)

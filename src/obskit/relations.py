@@ -6,13 +6,17 @@ Subgraph, topological-minor, and immersion queries share one backtracking
 placement search, `_embed`, which tries host vertices in ascending label
 order; the latter two only add a routing step for the pattern's edge units
 once every vertex is placed.  Minor queries first try the subgraph
-shortcut, then descend through single-step host reductions with
-canonical-form memoization, so a negative answer costs at most one visit
-per minor class of the (normalized) host.  Pattern and host sizes are
-capped (8 and 16 vertices by default); callers that know their instance is
-tractable may raise the caps explicitly.  Oversized patterns are rejected by the trivial size comparison
-before the cap applies, and equal-size instances are settled by isomorphism,
-so reflexivity and reverse-direction queries work at any size.
+shortcut, then walk down the host's single-step reductions with `_walk`.
+The walk visits each (normalized) minor class of the host at most once,
+which bounds the cost of a negative answer; under lifts, the same walk is
+the immersion oracle `immersion_by_liftings`.  Pattern and host sizes
+are capped (8 and 16 vertices by default); callers that know their
+instance is tractable may raise the caps explicitly.  Oversized patterns
+are rejected by the trivial size comparison before the cap applies, and
+equal-size instances are settled by isomorphism, so reflexivity and
+reverse-direction queries work at any size.  A time budget is checked on
+every step of the exponential searches (each placement, routing step and
+walk child), and its error's `detail` gives `budget_ms` and `elapsed_ms`.
 
 Multiplicity semantics (multi mode):
 
@@ -27,11 +31,11 @@ Multiplicity semantics (multi mode):
   pairwise edge-unit-disjoint; paths may pass through images.
 
 Every relation but subgraph is also generated by single steps, and one
-generator serves the minor descent, the lifting walk and the obstruction
-scans: vertex deletion and edge-unit deletion, plus edge contraction for
-minors, dissolution of an edge-degree-2 vertex with two distinct
-neighbours (never contraction of an arbitrary edge) for topological minors,
-and lifting a pair of edges at a shared middle vertex for immersions.
+generator, `_single_steps`, serves `_walk` and the obstruction scans:
+vertex deletion and edge-unit deletion, plus edge contraction for minors,
+dissolution of an edge-degree-2 vertex with two distinct neighbours (never
+contraction of an arbitrary edge) for topological minors, and lifting a
+pair of edges at a shared middle vertex for immersions.
 
 Simple mode collapses multiplicities on both sides first.  Minor and
 topological minor default to simple mode, subgraph and immersion to multi.
@@ -39,8 +43,8 @@ Every CLI-facing report records which mode was in force.
 """
 from __future__ import annotations
 
-import time
 from enum import Enum
+from time import monotonic
 
 from .multigraph import (
     BudgetExceededError,
@@ -98,22 +102,22 @@ def default_mode(relation: Relation) -> Mode:
 
 
 class _Deadline:
-    """Cheap cooperative wall-clock cutoff; check() is called in inner loops."""
+    """Cooperative wall-clock cutoff; check() reads the clock on every call,
+    which costs far less than one search step."""
 
-    __slots__ = ("until", "ticks")
+    __slots__ = ("budget_ms", "until")
 
     def __init__(self, budget_ms: float | None):
-        self.until = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-        self.ticks = 0
+        self.budget_ms = budget_ms
+        self.until = None if budget_ms is None else monotonic() + budget_ms / 1000.0
 
     def check(self):
-        if self.until is None:
-            return
-        self.ticks += 1
-        if self.ticks & 0xFF:
-            return
-        if time.monotonic() > self.until:
-            raise BudgetExceededError("containment search exceeded its time budget")
+        if self.until is not None and monotonic() > self.until:
+            late_ms = (monotonic() - self.until) * 1000.0
+            raise BudgetExceededError(
+                "containment search exceeded its time budget",
+                {"budget_ms": self.budget_ms,
+                 "elapsed_ms": round(self.budget_ms + late_ms, 1)})
 
 
 def _embed_order(h: MultiGraph) -> list[int]:
@@ -144,10 +148,8 @@ def _embed(g: MultiGraph, h: MultiGraph, dl: _Deadline, finish=None) -> bool:
     edge to already-placed neighbours, so a complete placement is a
     subgraph embedding.  With `finish`, placement is unconstrained and
     `finish(image, used)` decides whether the pattern's edge units can be
-    routed between the images.
+    routed between the images.  Callers have already compared sizes.
     """
-    if h.n > g.n or h.total_units > g.total_units:
-        return False
     hd = sorted(h.edge_degrees, reverse=True)
     gd = sorted(g.edge_degrees, reverse=True)
     if any(a > b for a, b in zip(hd, gd)):
@@ -204,50 +206,56 @@ def _single_steps(g: MultiGraph, rel: Relation, mode: Mode):
                     yield lift_pair(g, x, y, z)
 
 
+def _walk(g: MultiGraph, rel: Relation, mode: Mode, floor: tuple[int, int],
+          dl: _Deadline, reduce=None, max_states: int | None = None):
+    """Canonical forms of the classes reachable from g by `_single_steps`
+    of the relation, each once, depth first in step order.
+
+    Every step loses a vertex or an edge unit, so classes below
+    floor = (vertices, units) are skipped and classes at the floor are not
+    expanded.  `reduce`, when given, maps each reached graph to a smaller
+    stand-in before its class is taken.  One global `seen` set serves as
+    the memo: a caller that stops at the first hit never needs a memoized
+    success.  The deadline is checked once per child.
+    """
+    seen: set[bytes] = set()
+    stack = [iter((g,))]
+    while stack:
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+            continue
+        dl.check()
+        if reduce is not None:
+            x = reduce(x)
+        if x.n < floor[0] or x.total_units < floor[1]:
+            continue
+        c = canonical_form(x)
+        if c in seen:
+            continue
+        seen.add(c)
+        if max_states is not None and len(seen) > max_states:
+            raise BudgetExceededError("reduction walk state cap exceeded",
+                                      {"states": len(seen)})
+        yield c
+        if (x.n, x.total_units) != floor:
+            stack.append(_single_steps(x, rel, mode))
+
+
 def _minor(g: MultiGraph, h: MultiGraph, dl: _Deadline, multi: bool = False) -> bool:
-    """Descend through host reductions with canonical-form memoization.
+    """The subgraph shortcut, then a walk down the host's minor classes.
 
     Unlike a direct model search, the cost of a negative answer is bounded
     by the number of distinct (normalized) minor classes of the host, which
     stays small for sparse hosts.
     """
-    if h.n == 0:
-        return True
-    if h.total_units == 0:
-        return g.n >= h.n
-    if h.n > g.n or h.total_units > g.total_units:
-        return False
     if _embed(g, h, dl):
         return True
     hkey = canonical_form(h)
     mode = Mode.MULTI if multi else Mode.SIMPLE
-    memo: dict[bytes, bool] = {}
-
-    def down(x: MultiGraph) -> bool:
-        if x.n == h.n and x.total_units == h.total_units:
-            return canonical_form(x) == hkey
-        key = canonical_form(x)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        dl.check()
-        found = False
-        seen: set[bytes] = set()
-        for red in _single_steps(x, Relation.MINOR, mode):
-            red = _reduce_host(h, red, multi)
-            if red.n < h.n or red.total_units < h.total_units:
-                continue
-            rk = canonical_form(red)
-            if rk in seen:
-                continue
-            seen.add(rk)
-            if down(red):
-                found = True
-                break
-        memo[key] = found
-        return found
-
-    return down(_reduce_host(h, g, multi))
+    return any(c == hkey for c in _walk(
+        g, Relation.MINOR, mode, (h.n, h.total_units), dl,
+        reduce=lambda x: _reduce_host(h, x, multi)))
 
 
 def _topological(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
@@ -257,7 +265,6 @@ def _topological(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
     direct_used: dict[tuple[int, int], int] = {}
 
     def route(image: list[int], used_v: list[bool], qi: int = 0) -> bool:
-        dl.check()
         if qi == len(units):
             return True
         u, v = units[qi]
@@ -297,7 +304,6 @@ def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
     cap = dict(g.edge_dict)
 
     def route(image: list[int], _used: list[bool], qi: int = 0) -> bool:
-        dl.check()
         if qi == len(units):
             return True
         u, v = units[qi]
@@ -615,28 +621,6 @@ def verify_minor_model(h: MultiGraph, g: MultiGraph, branch_sets,
 
 # -- an independent immersion decision, for cross-checks ---------------------
 
-def _lifting_walk(g: MultiGraph, floor: tuple[int, int], max_states: int):
-    """Canonical forms of the graphs reachable from g by immersion steps,
-    depth first.  Every move strictly shrinks vertex count plus unit count,
-    so the walk terminates; graphs below floor = (vertices, units) are
-    skipped, since they can never grow back."""
-    seen: set[bytes] = set()
-    stack = [g]
-    while stack:
-        x = stack.pop()
-        if x.n < floor[0] or x.total_units < floor[1]:
-            continue
-        c = canonical_form(x)
-        if c in seen:
-            continue
-        seen.add(c)
-        if len(seen) > max_states:
-            raise BudgetExceededError("lifting walk state cap exceeded",
-                                      {"states": len(seen)})
-        yield c
-        stack.extend(_single_steps(x, Relation.IMMERSION, Mode.MULTI))
-
-
 def immersion_reachable_set(g: MultiGraph, max_states: int = 500000) -> frozenset[bytes]:
     """Canonical forms of everything reachable from g by vertex deletions,
     edge unit deletions, and lifts.
@@ -645,17 +629,17 @@ def immersion_reachable_set(g: MultiGraph, max_states: int = 500000) -> frozense
     immersion containment, so this set doubles as an oracle independent of
     the path search.  Intended for tiny graphs.
     """
-    return frozenset(_lifting_walk(g, (0, 0), max_states))
+    return frozenset(_walk(g, Relation.IMMERSION, Mode.MULTI, (0, 0),
+                           _Deadline(None), max_states=max_states))
 
 
 def immersion_by_liftings(g: MultiGraph, h: MultiGraph,
                           max_states: int = 500000) -> bool:
     """Immersion containment decided by the lifting walk alone."""
-    if h.n > g.n or h.total_units > g.total_units:
-        return False
     target = canonical_form(h)
     return any(c == target for c in
-               _lifting_walk(g, (h.n, h.total_units), max_states))
+               _walk(g, Relation.IMMERSION, Mode.MULTI, (h.n, h.total_units),
+                     _Deadline(None), max_states=max_states))
 
 
 def subgraph_map_as_model(image) -> tuple[frozenset[int], ...]:

@@ -41,7 +41,6 @@ class PrimeCollection:
     name: str
     relation: Relation
     families: tuple[ParametricFamily, ...]
-    prefix_len: int = 5
 
     def __post_init__(self):
         if not self.families:
@@ -359,7 +358,6 @@ def format_collection_spec(coll: PrimeCollection) -> str:
         "name": coll.name,
         "relation": coll.relation.value,
         "families": [f.name for f in coll.families],
-        "prefix": coll.prefix_len,
     }, indent=2) + "\n"
 
 
@@ -373,5 +371,4 @@ def parse_collection_spec(text: str) -> PrimeCollection:
     return PrimeCollection(
         name=data.get("name", "custom"),
         relation=parse_relation(relation),
-        families=tuple(family_by_name(n) for n in names),
-        prefix_len=int(data.get("prefix", 5)))
+        families=tuple(family_by_name(n) for n in names))

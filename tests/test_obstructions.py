@@ -79,6 +79,10 @@ def test_forest_tests_match_networkx_exhaustively():
         tree = g.n > 0 and nx.is_tree(_nx_multigraph(g))
         assert _is_tree(g) == tree
         assert (tree_code(g) is not None) == tree
+        # outerplanar exactly when an added apex vertex keeps it planar
+        apex = nx.Graph(_nx_multigraph(g))
+        apex.add_edges_from(("apex", v) for v in range(g.n))
+        assert is_outerplanar(g) == nx.check_planarity(apex)[0]
 
 
 def test_degree_restricted_predicates():

@@ -1,15 +1,18 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obskit.multigraph import MultiGraph, canonical_form, copies, enumerate_graphs
+from obskit.multigraph import (BudgetExceededError, MultiGraph, canonical_form,
+                               copies, enumerate_graphs)
 from obskit.families import (
     complete,
     complete_bipartite,
     grid,
     path,
     star,
+    ternary_tree_apex_dual,
     theta,
 )
 from obskit.relations import (
@@ -112,8 +115,17 @@ def test_non_positive_budgets_are_rejected():
     assert contains(Relation.MINOR, K3, K4, budget_ms=1000)
 
 
+def test_budgets_raise_on_time_with_the_time_spent():
+    # a negative minor query that runs for seconds without a budget
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError) as info:
+        contains(Relation.MINOR, K23, ternary_tree_apex_dual(2), budget_ms=500)
+    assert time.monotonic() - start < 0.55
+    assert info.value.detail["budget_ms"] == 500
+    assert info.value.detail["elapsed_ms"] >= 500
+
+
 def test_size_caps_guard_the_search():
-    from obskit.multigraph import BudgetExceededError
     big = path(12)
     with pytest.raises(BudgetExceededError):
         contains(Relation.SUBGRAPH, big, grid(4))
@@ -206,7 +218,8 @@ def test_placement_engines_match_brute_force_exhaustively():
     assert len(universe) == 81
     for g in universe:
         closures = {rel: _step_closure(g, rel) for rel in
-                    (Relation.TOPOLOGICAL_MINOR, Relation.IMMERSION)}
+                    (Relation.TOPOLOGICAL_MINOR, Relation.MINOR,
+                     Relation.IMMERSION)}
         for h in universe:
             for rel, closure in closures.items():
                 assert contains(rel, h, g, mode=Mode.MULTI) == \
