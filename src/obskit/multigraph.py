@@ -286,18 +286,24 @@ def _mult_matrix(g: MultiGraph) -> list[list[int]]:
 
 
 def _stable_colors(n: int, mat: list[list[int]], colors: list[int]) -> list[int]:
-    """Iterated color refinement by full (color, multiplicity) profiles."""
-    while True:
-        sigs = []
-        for v in range(n):
-            row = mat[v]
-            profile = tuple(sorted((colors[u], row[u]) for u in range(n) if u != v))
-            sigs.append((colors[v], profile))
+    """Iterated color refinement by full (color, multiplicity) profiles.
+
+    `colors` must be dense ranks 0..k-1.  A profile keeps the diagonal pair
+    (own color, 0), which every vertex of that color shares, so it orders
+    vertices as the profile without it would.  Ranks sort by the old color
+    first, so a round that adds no color returns the same ranks and ends
+    the refinement.
+    """
+    count = len(set(colors))
+    while count < n:
+        sigs = [(c, tuple(sorted(zip(colors, row))))
+                for c, row in zip(colors, mat)]
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+        if len(ranks) == count:
+            break
+        colors = [ranks[s] for s in sigs]
+        count = len(ranks)
+    return colors
 
 
 def _canonical_bytes(g: MultiGraph) -> bytes:
@@ -498,11 +504,12 @@ def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int,
     A child is kept only when its new vertex n-1 has the lexicographically
     largest (edge degree, distinct neighbours) of all its vertices; the test
     reads the parent's degrees and the attachment tuple, before any child is
-    built.  The rule loses no class: every graph on n vertices has a vertex
-    of largest value, deleting it leaves a graph whose class is in `layer`
-    (for `member`, because the class is closed under vertex deletion), and
-    attaching the vertex back to that class's representative gives a child
-    isomorphic to the graph, whose new vertex has the largest value.
+    built.  The rule loses no class whose deletion of a vertex of largest
+    value leaves a class in `layer`: attaching the vertex back to that
+    class's representative gives a child isomorphic to the graph, whose new
+    vertex has the largest value.  When `layer` is every class (or every
+    member of a class closed under vertex deletion) on n-1 vertices, that is
+    every class (or member) on n vertices.
     """
     keys: set[bytes] = set()
     for parent in layer:

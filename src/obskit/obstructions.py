@@ -11,13 +11,21 @@ minor (topological minor, immersion) of a graph is reachable through single
 steps, step-minimal violators are exactly the minimal ones, and that
 equivalence is itself re-checked on small universes by the tests.
 
+Layers grow inside the class instead of covering the whole universe.
+Vertex deletion is a single step of every relation, so a closed class is
+closed under it, and every member or minimal violator on n vertices is a
+one-vertex extension of a member on n - 1 vertices: extending only the
+members (`multigraph._extend_layer`) reaches all of them, and an empty
+member layer ends the scan.
+
 Reports are complete only up to their (n_max, mult_max) bound: an obstruction
 with more vertices is invisible, so every report carries its bound and a note
-saying so.  Predicates are assumed closed; a deterministic sample of members
-has all of its reductions re-checked, and a counterexample aborts the scan
-rather than producing a garbage antichain.
+saying so.  Predicates are assumed closed.  A deterministic sample of members
+has all of its reductions re-checked, and a deterministic sample of random
+labelled graphs is searched for members the grown layers missed; either
+counterexample aborts the scan rather than producing a garbage antichain.
 
-The forest predicates run on every enumerated graph and every reduction, so
+The forest predicates run on every scanned graph and every reduction, so
 they share `multigraph._forest`, a count of edges against components on
 neighbour masks.  Only outerplanarity goes through networkx's planarity
 test, and only for graphs that are neither forests nor too dense.
@@ -25,6 +33,7 @@ test, and only for graphs that are neither forests nor too dense.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -32,10 +41,14 @@ from importlib import resources
 import networkx as nx
 
 from .multigraph import (
+    DEFAULT_ENUM_BUDGET,
+    K0,
     MultiGraph,
+    _check_enum_budget,
+    _extend_layer,
     _forest,
     canonical_form,
-    enumerate_graphs,
+    delete_vertex,
     parse_graph_set,
 )
 from .parameters import ParameterKind, parameter_at_most
@@ -77,22 +90,36 @@ class ObstructionReport:
 def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
                          class_desc=None, closure_samples=100,
                          rng_seed=0) -> ObstructionReport:
-    """All step-minimal predicate violators with at most n_max vertices.
+    """All step-minimal predicate violators with at most n_max vertices,
+    canonically labelled and in enumeration order.
 
-    The scan bails out of a violator as soon as one reduction also violates,
-    so the cost is dominated by the graphs near the boundary of the class.
+    Layer n is the one-vertex extensions of the members on n - 1 vertices,
+    which covers every member and every minimal violator because the class
+    is closed under vertex deletion.  The scan bails out of a violator as
+    soon as one reduction also violates, so the cost is dominated by the
+    class and its boundary, not by the size of the universe.  The size caps
+    of `enumerate_graphs` still apply.
     """
     relation = parse_relation(relation)
     mode = Mode.SIMPLE if mult_max == 1 else Mode.MULTI
     desc = class_desc or getattr(predicate, "__name__", "predicate")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    _check_enum_budget(n_max, mult_max, DEFAULT_ENUM_BUDGET)
 
     members = []
     found = []
-    for g in enumerate_graphs(n_max, mult_max):
-        if predicate(g):
-            members.append(g)
-        elif all(predicate(r) for r in _single_steps(g, relation, mode)):
-            found.append(g)
+    layer = [K0]
+    while layer:
+        parents = []
+        for g in layer:
+            if predicate(g):
+                parents.append(g)
+            elif all(predicate(r) for r in _single_steps(g, relation, mode)):
+                found.append(g)
+        members += parents
+        n = layer[0].n + 1
+        layer = _extend_layer(parents, n, mult_max) if n <= n_max else []
 
     rng = random.Random(rng_seed)
     sample = (members if len(members) <= closure_samples
@@ -101,6 +128,8 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
         for r in _single_steps(m, relation, mode):
             if not predicate(r):
                 raise NonClosedPredicateError(m, r, relation)
+    _check_unreached_members(predicate, members, n_max, mult_max, relation,
+                             closure_samples, rng_seed)
 
     if not is_antichain(relation, found, mode=mode):
         raise AssertionError(
@@ -111,6 +140,32 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
         n_max=n_max, mult_max=mult_max, obstructions=tuple(found),
         note=f"complete up to n<={n_max}, mult<={mult_max}; "
              "larger obstructions are invisible at this bound")
+
+
+def _check_unreached_members(predicate, members, n_max, mult_max, relation,
+                             samples, rng_seed):
+    """Raise if a random labelled graph is a member the grown layers missed.
+
+    Such a member has a vertex deletion outside the class: deleting a
+    vertex of largest (edge degree, distinct neighbours) from an unreached
+    member leaves an unreached graph, so the walk down these deletions
+    meets a non-member before it runs out of vertices.
+    """
+    reached = {canonical_form(m) for m in members}
+    draw = random.Random(rng_seed)
+    for _ in range(samples):
+        n = draw.randint(0, n_max)
+        g = MultiGraph(n, tuple(
+            (u, v, m) for u, v in itertools.combinations(range(n), 2)
+            if (m := draw.randint(0, mult_max))))
+        if not predicate(g) or canonical_form(g) in reached:
+            continue
+        while predicate(g):
+            member = g
+            top = max(range(g.n), key=lambda v: (member.edge_degrees[v],
+                                                 member.degrees[v]))
+            g = delete_vertex(member, top)
+        raise NonClosedPredicateError(member, g, relation)
 
 
 # -- built-in class predicates --------------------------------------------------

@@ -172,6 +172,13 @@ def test_flags_live_only_on_the_commands_that_use_them(capsys, files):
     assert "budget_ms" not in json.loads(out)["config"]
 
 
+def test_obs_beyond_the_size_cap_fails_cleanly(capsys):
+    code, out, err = run(capsys, "obs", "--class", "forests", "--nmax", "9")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "enumeration to 9 vertices at mult_max=1 exceeds the budget"}
+
+
 def test_obs_unknown_class_fails_cleanly(capsys):
     code, _, err = run(capsys, "obs", "--class", "chordal")
     assert code == 1 and "unknown class" in err

@@ -1,8 +1,9 @@
 import networkx as nx
 import pytest
 
-from obskit.multigraph import (MultiGraph, canonical_form, copies,
-                               enumerate_graphs, tree_code)
+from obskit.multigraph import (BudgetExceededError, MultiGraph, _layer,
+                               canonical_form, copies, enumerate_graphs,
+                               tree_code)
 from obskit.families import complete, complete_bipartite, grid, path, star, theta
 from obskit.obstructions import (
     BUILTIN_CLASSES,
@@ -21,8 +22,9 @@ from obskit.obstructions import (
     obstructions_for_kind,
     universal_sample_check,
 )
-from obskit.parameters import EDGE_DEGREE, TREEWIDTH
-from obskit.relations import Relation, _is_tree, is_antichain
+from obskit.parameters import EDGE_DEGREE, TREEWIDTH, parameter_at_most
+from obskit.relations import (Mode, Relation, _is_tree, _single_steps,
+                              is_antichain)
 from obskit.families import GRID_FAMILY, COMPLETE_FAMILY
 
 K3, K4 = complete(3), complete(4)
@@ -125,15 +127,78 @@ def test_non_closed_predicate_detected():
         compute_obstructions(Relation.IMMERSION, literal_star_or_edgeless, 4, 1)
     assert err.value.member.n <= 4
 
+    # no member on three or more vertices is reached from the two-vertex
+    # layer, so only the sampled labelled graphs can expose this one
+    with pytest.raises(NonClosedPredicateError) as err:
+        compute_obstructions(Relation.MINOR, lambda g: g.n != 2, 4)
+    assert (err.value.member.n, err.value.reduct.n) == (3, 2)
+
+
+def _subcubic(g):
+    return max(g.degrees, default=0) <= 3
+
 
 @pytest.mark.parametrize("n_max,mult_max", [(6, 1), (5, 2)])
 def test_subcubic_topological_minor_obstruction_is_k14(n_max, mult_max):
     # contracting an arbitrary edge is not a topological-minor step: it would
     # turn a subcubic graph into a degree-4 one and fail the closure check
-    rep = compute_obstructions(Relation.TOPOLOGICAL_MINOR,
-                               lambda g: max(g.degrees, default=0) <= 3,
+    rep = compute_obstructions(Relation.TOPOLOGICAL_MINOR, _subcubic,
                                n_max, mult_max)
     assert keys(rep) == keys([star(4)])
+
+
+def _full_universe_obstructions(relation, predicate, n_max, mult_max):
+    """The reference scan: every graph of the bounded universe is split by
+    the predicate, members or not."""
+    mode = Mode.SIMPLE if mult_max == 1 else Mode.MULTI
+    return tuple(g for g in enumerate_graphs(n_max, mult_max)
+                 if not predicate(g)
+                 and all(predicate(r) for r in _single_steps(g, relation, mode)))
+
+
+def _treewidth_at_most_1(g):
+    return parameter_at_most(TREEWIDTH, 1, g)
+
+
+def _nothing(g):
+    return False
+
+
+@pytest.mark.parametrize("relation,predicate,n_max,mult_max", [
+    *[(rel, pred, 6, 1) for rel, pred in BUILTIN_CLASSES.values()
+      if rel is Relation.MINOR],
+    *[(rel, pred, 5, 2) for rel, pred in BUILTIN_CLASSES.values()
+      if rel is Relation.IMMERSION],
+    (Relation.TOPOLOGICAL_MINOR, _subcubic, 6, 1),
+    (Relation.TOPOLOGICAL_MINOR, _subcubic, 5, 2),
+    (Relation.MINOR, _treewidth_at_most_1, 6, 1),
+    (Relation.MINOR, _nothing, 4, 1),
+])
+def test_grown_scan_matches_the_full_universe(relation, predicate, n_max,
+                                              mult_max):
+    # same graphs, same labels, same order
+    rep = compute_obstructions(relation, predicate, n_max, mult_max)
+    assert rep.obstructions == _full_universe_obstructions(
+        relation, predicate, n_max, mult_max)
+
+
+def test_nothing_is_obstructed_by_the_empty_graph():
+    rep = compute_obstructions(Relation.MINOR, _nothing, 4)
+    assert rep.obstructions == (MultiGraph(0),)
+
+
+def test_scan_grows_layers_without_the_universe_memo():
+    misses = _layer.cache_info().misses
+    compute_obstructions(Relation.IMMERSION, is_star_or_edgeless, 6, 2)
+    assert _layer.cache_info().misses == misses
+
+
+def test_scan_keeps_the_enumeration_size_caps():
+    with pytest.raises(BudgetExceededError) as err:
+        compute_obstructions(Relation.MINOR, is_forest, 9)
+    assert str(err.value) == ("enumeration to 9 vertices at mult_max=1 "
+                              "exceeds the budget")
+    assert err.value.detail == {"n_max": 9, "mult_max": 1, "allowed": 8}
 
 
 def test_obstructions_are_an_antichain_by_construction():
