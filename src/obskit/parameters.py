@@ -1,15 +1,23 @@
 """Exact solvers for the width and apex parameters used across the toolkit.
 
-All solvers are exponential subset dynamic programs over vertex bitmasks,
-exact at desk scale and guarded by hard vertex caps.  Width parameters of a
-multigraph are those of its simplification, except cutwidth, which counts
-edge multiplicities.  The empty graph evaluates to 0 everywhere so the
-parameters stay total and monotone at the bottom.
+The width solvers are exponential subset dynamic programs over vertex
+bitmasks, exact at desk scale and guarded by hard vertex caps.  Width
+parameters of a multigraph are those of its simplification, except cutwidth,
+which counts edge multiplicities.  The empty graph evaluates to 0 everywhere
+so the parameters stay total and monotone at the bottom.
 
 Each solver that promises a witness returns one that an independent checker
 (`layout_*_cost`, `is_z_apex_witness`) re-evaluates without consulting the
 DP tables.  treewidth, pathwidth and cutwidth share one layout DP,
 `_layout_dp`, and break ties toward the lowest vertex.
+
+treewidth tries polynomial bounds first (`_tw_bounds`: minor-min-width below,
+the better of greedy min-fill and min-degree elimination above).  When they
+meet, the elimination order read backwards is the witness layout and no DP
+runs; otherwise the DP runs and its value must lie between the bounds.
+`parameter_at_most(TREEWIDTH, ...)` answers from the bounds whenever they
+decide it.  treewidth_by_elimination deliberately skips the bounds: it stays
+the raw DP, so comparing the two solvers remains a real cross-check.
 
 bi_pathwidth is the maximum pathwidth over blocks.  A minimum would not be
 minor-monotone (a pendant edge glued to K4 would drag the value down to 1),
@@ -97,16 +105,90 @@ def _layout_dp(n: int, cost) -> tuple[int, Layout]:
     return dp[size - 1], Layout(tuple(order))
 
 
+def _bits(mask: int):
+    """The vertices of a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _fill_in(adj: list[int], v: int) -> int:
+    """Edges missing between the neighbours of v."""
+    nb = adj[v]
+    return sum((nb & ~adj[w]).bit_count() - 1 for w in _bits(nb)) // 2
+
+
+def _greedy_elimination(nmask: tuple[int, ...], score) -> tuple[int, list[int]]:
+    """(width, order) of eliminating a least-score vertex at every step,
+    ties to the lowest; the width is the largest degree at elimination."""
+    adj = list(nmask)
+    alive = (1 << len(adj)) - 1
+    width, order = 0, []
+    while alive:
+        v = min(_bits(alive), key=lambda x: score(adj, x))
+        nb = adj[v]
+        width = max(width, nb.bit_count())
+        for w in _bits(nb):
+            adj[w] = (adj[w] | nb) & ~(1 << w | 1 << v)
+        alive ^= 1 << v
+        order.append(v)
+    return width, order
+
+
+def _minor_min_width(nmask: tuple[int, ...]) -> int:
+    """Largest minimum degree seen while contracting a minimum-degree vertex
+    into its least-degree neighbour (ties to the lowest vertex).  Every
+    graph in the sequence is a minor, so this bounds treewidth from below."""
+    adj = list(nmask)
+    alive = (1 << len(adj)) - 1
+    lo = 0
+    while alive & (alive - 1):
+        v = min(_bits(alive), key=lambda x: adj[x].bit_count())
+        nb = adj[v]
+        lo = max(lo, nb.bit_count())
+        alive ^= 1 << v
+        if nb:
+            u = min(_bits(nb), key=lambda x: adj[x].bit_count())
+            rest = nb & ~(1 << u)
+            adj[u] = (adj[u] | rest) & ~(1 << v)
+            for w in _bits(rest):
+                adj[w] = (adj[w] & ~(1 << v)) | 1 << u
+    return lo
+
+
+def _tw_bounds(g: MultiGraph) -> tuple[int, int, list[int]]:
+    """(lo, hi, order) with lo <= treewidth(g) <= hi.
+
+    lo is minor-min-width (Gogate-Dechter 2004); hi is the width of the
+    better of greedy min-fill and min-degree elimination (Bodlaender-Koster
+    2010), and order is that elimination order.  Read backwards it is a
+    layout whose `layout_treewidth_cost` is hi: the earlier vertices next to
+    the component of v within the suffix are v's neighbours in the filled
+    graph when v is eliminated.
+    """
+    nmask = g.simplify().neighbor_masks
+    hi, order = min(
+        _greedy_elimination(nmask, _fill_in),
+        _greedy_elimination(nmask, lambda adj, x: adj[x].bit_count()),
+        key=lambda found: found[0])
+    return _minor_min_width(nmask), hi, order
+
+
 def treewidth(g: MultiGraph) -> tuple[int, Layout]:
     """Exact treewidth with a witness layout.
 
     Uses the layout characterization: at each position, count the earlier
     vertices adjacent to the connected component (within the unplaced
     suffix) of the vertex placed there; treewidth is the min over layouts
-    of the worst position.
+    of the worst position.  When `_tw_bounds` meet, their elimination order
+    read backwards is the layout and no DP runs.
     """
     g = g.simplify()
     _check_cap(g, MAX_TREEWIDTH_VERTICES, "treewidth")
+    lo, hi, order = _tw_bounds(g)
+    if lo == hi:
+        return hi, Layout(tuple(reversed(order)))
     nmask = g.neighbor_masks
     full = (1 << g.n) - 1
 
@@ -114,7 +196,11 @@ def treewidth(g: MultiGraph) -> tuple[int, Layout]:
         comp = _component_mask(v, full & ~prev, nmask)
         return (_mask_neighbors(comp, nmask) & prev).bit_count()
 
-    return _layout_dp(g.n, cost)
+    value, layout = _layout_dp(g.n, cost)
+    if not lo <= value <= hi:
+        raise AssertionError(f"treewidth DP gave {value} outside its bounds "
+                             f"lo={lo}, hi={hi}")
+    return value, layout
 
 
 def treewidth_by_elimination(g: MultiGraph) -> int:
@@ -367,4 +453,14 @@ def parameter_value(kind: ParameterKind, g: MultiGraph) -> int:
 
 
 def parameter_at_most(kind: ParameterKind, k: int, g: MultiGraph) -> bool:
+    """Whether the parameter of g is at most k; treewidth answers from its
+    bounds when they decide it and runs the DP only in between."""
+    if kind.tag == "treewidth":
+        g = g.simplify()
+        _check_cap(g, MAX_TREEWIDTH_VERTICES, "treewidth")
+        lo, hi, _ = _tw_bounds(g)
+        if lo > k:
+            return False
+        if hi <= k:
+            return True
     return parameter_value(kind, g) <= k

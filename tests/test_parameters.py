@@ -104,6 +104,55 @@ def test_two_treewidth_solvers_agree(g):
     assert treewidth(g)[0] == treewidth_by_elimination(g)
 
 
+def test_treewidth_bounds_hold_exhaustively():
+    graphs = list(enumerate_graphs(7, 1)) + list(enumerate_graphs(5, 2))
+    graphs += [MultiGraph(0), MultiGraph(1), MultiGraph(5),
+               MultiGraph.build(3, [(0, 1, 3), (1, 2, 2), (0, 2, 1)])]
+    open_graphs = 0
+    for g in graphs:
+        lo, hi, order = P._tw_bounds(g)
+        oracle = treewidth_by_elimination(g)
+        assert lo <= oracle <= hi, g
+        assert layout_treewidth_cost(g, P.Layout(tuple(reversed(order)))) == hi
+        value, lay = treewidth(g)
+        assert layout_treewidth_cost(g, lay) == value == oracle, g
+        open_graphs += lo < hi
+    assert open_graphs >= 1  # the DP path stays covered
+    assert P._tw_bounds(MultiGraph(0)) == (0, 0, [])
+    assert P._tw_bounds(MultiGraph(1))[:2] == (0, 0)
+    assert P._tw_bounds(MultiGraph(5))[:2] == (0, 0)
+    assert P._tw_bounds(MultiGraph.build(2, [(0, 1, 4)]))[:2] == (1, 1)
+
+
+# two 7-vertex graphs the bounds leave open: treewidth meets lo, then hi
+OPEN_AT_LO = MultiGraph.build(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6),
+                                  (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6),
+                                  (4, 5), (4, 6), (5, 6)])
+OPEN_AT_HI = MultiGraph.build(7, [(0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6),
+                                  (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6),
+                                  (4, 5)])
+
+
+def test_open_bounds_run_the_dp_and_check_its_value(monkeypatch):
+    assert P._tw_bounds(OPEN_AT_LO)[:2] == (4, 5)
+    assert treewidth(OPEN_AT_LO)[0] == 4
+    assert P._tw_bounds(OPEN_AT_HI)[:2] == (3, 4)
+    assert treewidth(OPEN_AT_HI)[0] == 4
+    monkeypatch.setattr(P, "_layout_dp",
+                        lambda n, cost: (2, P.Layout(tuple(range(n)))))
+    with pytest.raises(AssertionError, match="2 outside its bounds lo=3, hi=4"):
+        treewidth(OPEN_AT_HI)
+
+
+def test_treewidth_at_most_matches_the_value():
+    for g in list(enumerate_graphs(6, 1)) + list(enumerate_graphs(4, 2)):
+        tw = treewidth(g)[0]
+        for k in range(6):
+            assert parameter_at_most(TREEWIDTH, k, g) == (tw <= k), (g, k)
+    assert parameter_at_most(TREEWIDTH, 4, OPEN_AT_LO)
+    assert not parameter_at_most(TREEWIDTH, 3, OPEN_AT_HI)
+
+
 @settings(max_examples=40)
 @given(multigraphs(max_n=6, max_mult=2))
 def test_layouts_witness_their_widths(g):
