@@ -182,12 +182,16 @@ K0 = MultiGraph(0)
 # -- elementary operations -------------------------------------------------
 
 def delete_vertex(g: MultiGraph, v: int) -> MultiGraph:
-    """Remove v and its incident edges; remaining labels stay in order."""
+    """Remove v and its incident edges; remaining labels stay in order.
+
+    The relabelling keeps the order of labels, so the surviving edges stay
+    sorted and distinct and need no rebuild.
+    """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
-    relabel = {u: (u if u < v else u - 1) for u in range(g.n) if u != v}
-    edges = [(relabel[u], relabel[w], m) for u, w, m in g.edges if u != v and w != v]
-    return MultiGraph.build(g.n - 1, edges)
+    edges = tuple((a - (a > v), b - (b > v), m)
+                  for a, b, m in g.edges if a != v and b != v)
+    return MultiGraph(g.n - 1, edges)
 
 
 def delete_edge(g: MultiGraph, u: int, v: int, units: int = 1) -> MultiGraph:
@@ -311,9 +315,16 @@ def _canonical_bytes(g: MultiGraph) -> bytes:
     multiplicity matrix row by row, over all admissible vertex orders.
 
     The search places vertices in blocks of the refined coloring (valid since
-    refinement is isomorphism-invariant) and prunes on the partial encoding.
-    Highly symmetric graphs explore every automorphic branch, which is fine
-    at the sizes enumeration works with.
+    refinement is isomorphism-invariant) and prunes on the partial encoding:
+    a node whose prefix equals the best one compares only its new row with
+    the best's row at that depth, and a node whose prefix is already below
+    the best compares nothing.  A leaf equal to the best gives an
+    automorphism, best_order[i] -> order[i].  A candidate is skipped when
+    it shares an orbit with an already-explored sibling under the
+    automorphisms found so far that fix the current prefix pointwise (one
+    union-find per node): they keep the colors and the encoding, so its
+    subtree holds the same encodings as the sibling's (McKay-Piperno orbit
+    pruning).  The minimum, and so the bytes, are those of the full search.
     """
     n = g.n
     if n > 255:
@@ -329,34 +340,68 @@ def _canonical_bytes(g: MultiGraph) -> bytes:
     color_seq = sorted(by_color)
 
     best_rows: list[tuple[int, ...]] | None = None
+    best_order: list[int] = []
+    autos: list[list[int]] = []
     order: list[int] = []
+    rows: list[tuple[int, ...]] = []
     remaining = {c: set(vs) for c, vs in by_color.items()}
 
-    def dfs(depth: int, rows: list[tuple[int, ...]]):
-        nonlocal best_rows
+    def find(uf: list[int], x: int) -> int:
+        while uf[x] != x:
+            uf[x] = x = uf[uf[x]]
+        return x
+
+    def dfs(depth: int, tie: bool) -> bool:
+        """Search below `order`; `tie` says its rows equal the best's
+        prefix (else they are below it).  True when a leaf below replaced
+        the best, which leaves this prefix tied with the new best."""
+        nonlocal best_rows, best_order
         if depth == n:
-            if best_rows is None or rows < best_rows:
-                best_rows = list(rows)
-            return
+            if tie:
+                auto = list(range(n))
+                for x, y in zip(best_order, order):
+                    auto[x] = y
+                autos.append(auto)
+                return False
+            best_rows, best_order = list(rows), list(order)
+            return True
         block = 0
         while not remaining[color_seq[block]]:
             block += 1
         cell = remaining[color_seq[block]]
+        replaced = False
+        explored: list[int] = []
+        uf: list[int] | None = None
+        used_autos = 0
         for v in sorted(cell):
-            row = tuple(mat[v][u] for u in order)
-            if best_rows is not None:
-                probe = rows + [row]
-                if probe > best_rows[: len(probe)]:
+            if used_autos < len(autos):
+                for auto in autos[used_autos:]:
+                    if all(auto[x] == x for x in order):
+                        if uf is None:
+                            uf = list(range(n))
+                        for x in cell:
+                            uf[find(uf, x)] = find(uf, auto[x])
+                used_autos = len(autos)
+            if uf is not None and find(uf, v) in {find(uf, w) for w in explored}:
+                continue
+            explored.append(v)
+            row = tuple(map(mat[v].__getitem__, order))
+            child_tie = False
+            if tie:
+                if row > best_rows[depth]:
                     continue
+                child_tie = row == best_rows[depth]
             cell.discard(v)
             order.append(v)
             rows.append(row)
-            dfs(depth + 1, rows)
+            if dfs(depth + 1, child_tie):
+                replaced = tie = True
             rows.pop()
             order.pop()
             cell.add(v)
+        return replaced
 
-    dfs(0, [])
+    dfs(0, False)
     if best_rows is None:
         raise AssertionError("canonical search placed no complete order; bug")
     return bytes([n, *itertools.chain.from_iterable(best_rows)])

@@ -5,7 +5,10 @@ the chosen relation.  All four searches are exact and deterministic.
 Subgraph, topological-minor, and immersion queries share one backtracking
 placement search, `_embed`, which tries host vertices in ascending label
 order; the latter two only add a routing step for the pattern's edge units
-once every vertex is placed.  Minor queries first try the subgraph
+once every vertex is placed.  Immersion routing prunes on residual room:
+a path may pass through a host vertex only while the unused capacity left
+there covers the units still to be routed at it, a necessary condition
+that never changes an answer.  Minor queries first try the subgraph
 shortcut, then walk down the host's single-step reductions with `_walk`.
 The walk visits each (normalized) minor class of the host at most once,
 which bounds the cost of a negative answer; under lifts, the same walk is
@@ -16,7 +19,8 @@ are rejected by the trivial size comparison before the cap applies, and
 equal-size instances are settled by isomorphism, so reflexivity and
 reverse-direction queries work at any size.  A time budget is checked on
 every step of the exponential searches (each placement, routing step and
-walk child), and its error's `detail` gives `budget_ms` and `elapsed_ms`.
+walk child), and its error's `detail` gives `budget_ms`, `elapsed_ms` and
+`steps`, the number of those steps taken before the budget ran out.
 
 Multiplicity semantics (multi mode):
 
@@ -103,13 +107,15 @@ def default_mode(relation: Relation) -> Mode:
 
 class _Deadline:
     """Cooperative wall-clock cutoff; check() reads the clock on every call,
-    which costs far less than one search step."""
+    which costs far less than one search step, and counts the steps that
+    passed it."""
 
-    __slots__ = ("budget_ms", "until")
+    __slots__ = ("budget_ms", "until", "steps")
 
     def __init__(self, budget_ms: float | None):
         self.budget_ms = budget_ms
         self.until = None if budget_ms is None else monotonic() + budget_ms / 1000.0
+        self.steps = 0
 
     def check(self):
         if self.until is not None and monotonic() > self.until:
@@ -117,7 +123,9 @@ class _Deadline:
             raise BudgetExceededError(
                 "containment search exceeded its time budget",
                 {"budget_ms": self.budget_ms,
-                 "elapsed_ms": round(self.budget_ms + late_ms, 1)})
+                 "elapsed_ms": round(self.budget_ms + late_ms, 1),
+                 "steps": self.steps})
+        self.steps += 1
 
 
 def _embed_order(h: MultiGraph) -> list[int]:
@@ -299,15 +307,32 @@ def _topological(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
 
 def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
     """A subgraph embedding, or one path per pattern unit, each path using
-    up one unit of host capacity on every edge it crosses."""
+    up one unit of host capacity on every edge it crosses.
+
+    Routing prunes on residual room.  `room[x]` is the unused capacity on
+    the edges at host vertex x, and `need[x]` the number of pattern units
+    still unrouted at the image x (0 off the images).  A unit's own ends
+    give up their share before its path is searched, and the path may pass
+    through a vertex y only if `room[y] - 2 >= need[y]`: every unit still
+    to come at y needs one more unit of room there.  The test is necessary
+    for any routing to exist, so it never changes an answer.
+    """
     units = [(u, v) for u, v, m in h.edges for _ in range(m)]
     cap = dict(g.edge_dict)
+    room = list(g.edge_degrees)
+    need = [0] * g.n
 
     def route(image: list[int], _used: list[bool], qi: int = 0) -> bool:
+        if qi == 0:
+            need[:] = [0] * g.n
+            for v, w in enumerate(image):
+                need[w] = h.edge_degrees[v]
         if qi == len(units):
             return True
         u, v = units[qi]
         a, b = image[u], image[v]
+        need[a] -= 1
+        need[b] -= 1
         visited = [False] * g.n
 
         def dfs(x: int) -> bool:
@@ -317,15 +342,24 @@ def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
             visited[x] = True
             for y in g.adj[x]:
                 key = (x, y) if x < y else (y, x)
-                if not visited[y] and cap[key] > 0:
+                if (not visited[y] and cap[key] > 0
+                        and (y == b or room[y] - 2 >= need[y])):
                     cap[key] -= 1
+                    room[x] -= 1
+                    room[y] -= 1
                     if dfs(y):
                         return True
                     cap[key] += 1
+                    room[x] += 1
+                    room[y] += 1
             visited[x] = False
             return False
 
-        return dfs(a)
+        if dfs(a):
+            return True
+        need[a] += 1
+        need[b] += 1
+        return False
 
     return _embed(g, h, dl) or _embed(g, h, dl, route)
 

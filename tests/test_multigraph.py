@@ -31,7 +31,11 @@ from obskit.multigraph import (
     tree_code,
     _canonical_bytes,
     _layer,
+    _mult_matrix,
+    _stable_colors,
 )
+from obskit.families import (complete_bipartite, grid, ternary_tree_apex,
+                             ternary_tree_apex_dual)
 from obskit.obstructions import is_forest
 
 from conftest import multigraphs, shuffled
@@ -163,6 +167,57 @@ def test_canonical_form_is_relabeling_invariant(g, seed):
     assert canonical_form(shuffled(g, seed)) == canonical_form(g)
 
 
+def _brute_force_canonical(g):
+    """The least encoding over every order that lists the stable colour
+    blocks in colour order, each block in any order."""
+    mat = _mult_matrix(g)
+    colors = _stable_colors(g.n, mat, [0] * g.n)
+    cells = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+    return min(
+        bytes([g.n, *(mat[o[i]][o[j]] for i in range(g.n) for j in range(i))])
+        for parts in itertools.product(*(itertools.permutations(c) for c in cells))
+        for o in [list(itertools.chain.from_iterable(parts))])
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return MultiGraph.build(10, outer + spokes + inner)
+
+
+SYMMETRIC_GRAPHS = {
+    "C8": C(8),
+    "K44": complete_bipartite(4, 4),
+    "cube": MultiGraph.build(8, [(u, u ^ (1 << b)) for u in range(8)
+                                 for b in range(3) if u < u ^ (1 << b)]),
+    "wagner": MultiGraph.build(8, [(i, (i + 1) % 8) for i in range(8)]
+                               + [(i, i + 4) for i in range(4)]),
+    "K4x2": MultiGraph.build(4, [(u, v, 2) for u in range(4) for v in range(u + 1, 4)]),
+}
+
+
+def test_canonical_search_matches_brute_force_on_small_universe():
+    for g in enumerate_graphs(5, 2):
+        assert _canonical_bytes(g) == _brute_force_canonical(g), g
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+def test_canonical_search_matches_brute_force_on_symmetric_graphs(name):
+    g = SYMMETRIC_GRAPHS[name]
+    assert _canonical_bytes(g) == _brute_force_canonical(g)
+
+
+@pytest.mark.parametrize("g", [grid(3), ternary_tree_apex(2),
+                               ternary_tree_apex_dual(2), _petersen()],
+                         ids=["grid3", "ternary_apex2", "ternary_apex_dual2",
+                              "petersen"])
+def test_canonical_form_survives_relabelling_of_symmetric_families(g):
+    form = _canonical_bytes(g)
+    for seed in range(20):
+        assert _canonical_bytes(shuffled(g, seed)) == form
+
+
 @given(multigraphs(max_n=6, max_mult=2))
 def test_relabel_canonically_is_idempotent(g):
     c = relabel_canonically(g)
@@ -247,6 +302,7 @@ def test_enumerated_graphs_are_canonically_labelled(n_max, mult_max):
 @pytest.mark.parametrize("n_max,mult_max,digest", [
     (7, 1, "1277d987d1d9cc9b62b320fc8a9b2a85f3686d011a17525ec4c14aae2272caf6"),
     (5, 2, "e09b093d095031b5bbda16b424773a46802f3fd340026fa84b967ba7445783e7"),
+    (6, 2, "a4461b2f7c5da90ea2cdea660970ed3ceef8f054079e4ae413355bd927c35bd7"),
 ])
 def test_enumeration_sequence_pinned(n_max, mult_max, digest):
     forms = b"".join(canonical_form(g) for g in enumerate_graphs(n_max, mult_max))

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obskit.multigraph import (BudgetExceededError, MultiGraph, canonical_form,
-                               copies, enumerate_graphs)
+                               copies, enumerate_graphs, _component_mask)
 from obskit.families import (
     complete,
     complete_bipartite,
+    fan,
     grid,
     path,
     star,
@@ -123,6 +124,7 @@ def test_budgets_raise_on_time_with_the_time_spent():
     assert time.monotonic() - start < 0.55
     assert info.value.detail["budget_ms"] == 500
     assert info.value.detail["elapsed_ms"] >= 500
+    assert info.value.detail["steps"] > 0
 
 
 def test_size_caps_guard_the_search():
@@ -227,6 +229,24 @@ def test_placement_engines_match_brute_force_exhaustively():
             brute = any(verify_subgraph_map(h, g, m)
                         for m in itertools.permutations(range(g.n), h.n))
             assert contains(Relation.SUBGRAPH, h, g, mode=Mode.MULTI) == brute, (h, g)
+
+
+def _connected(g):
+    full = (1 << g.n) - 1
+    return _component_mask(0, full, g.neighbor_masks) == full
+
+
+def test_immersion_routing_matches_the_lifting_oracle():
+    # 4-vertex pairs rarely make the room test fire; these hosts carry
+    # patterns whose units compete for the edges at their images
+    patterns = [h for h in enumerate_graphs(6, 1)
+                if h.n >= 4 and min(h.degrees) >= 2 and _connected(h)]
+    assert len(patterns) == 75
+    for g in (fan(6), complete_bipartite(3, 4)):
+        reach = immersion_reachable_set(g)
+        for h in patterns:
+            assert contains(Relation.IMMERSION, h, g) == \
+                (canonical_form(h) in reach), (h, g)
 
 
 def test_immersion_reachable_set_is_downward_closed_sample():
