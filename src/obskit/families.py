@@ -425,10 +425,15 @@ def parse_class_spec(text: str) -> ClassSpec:
         parts = line.split()
         if parts[0] == "relation" and len(parts) == 2:
             relation = parse_relation(parts[1])
-        elif parts[0] == "mode" and parts[1] in ("simple", "multi"):
+        elif parts[0] == "mode" and len(parts) in (2, 3) \
+                and parts[1] in ("simple", "multi"):
             mode = Mode(parts[1])
             if len(parts) == 3:
-                cap = int(parts[2])
+                cap = int(parts[2]) if parts[2].isdecimal() else 0
+                top = DEFAULT_ENUM_BUDGET.max_multiplicity
+                if not 1 <= cap <= top:
+                    raise ValueError(f"bad class header line: {raw!r}; the "
+                                     f"cap must be an integer in 1..{top}")
         else:
             raise ValueError(f"bad class header line: {raw!r}")
     if relation is None:

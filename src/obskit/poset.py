@@ -1,10 +1,10 @@
 """Finite quasi-order utilities: width, chain partitions, the Rado order.
 
-Width is computed two ways on purpose. The production path turns the chain
-cover problem into bipartite matching (a partition into n - |M| chains
-exists for a maximum matching M, and by Dilworth that count equals the
-largest antichain); below 26 elements an exhaustive maximum-antichain
-search runs as well and the two answers are asserted equal.
+Width comes with its proof. One maximum bipartite matching M gives a
+partition into n - |M| chains, and König's theorem turns the same matching
+into a minimum vertex cover whose uncovered elements form an antichain of
+that size. Both are checked before any answer is returned, so the width is
+proved at every size.
 
 Graph sequences are quotiented before any width computation.  Under the
 containment relations used here mutual containment forces equal size and
@@ -12,12 +12,13 @@ hence isomorphism, so the quotient is canonical-form deduplication.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import networkx as nx
 
-from .multigraph import MultiGraph, enum_key
-from .relations import Relation, contains, parse_relation
+from .multigraph import MultiGraph, canonical_form
+from .relations import contains, parse_relation
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,7 @@ def parse_poset_text(text: str) -> FinitePoset:
     for a, b in pairs:
         if a not in known or b not in known:
             raise ValueError(f"le references unknown element: {a} {b}")
+    _check_size(len(labels))
     return poset_from_relations(labels, pairs)
 
 
@@ -130,6 +132,7 @@ def rado_truncation(n: int) -> FinitePoset:
     """The Rado order restricted to pairs (i, j) with 0 <= i < j <= n."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_size(n * (n + 1) // 2)
     elems = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
     le = tuple(tuple(rado_order(a, b) for b in elems) for a in elems)
     return FinitePoset(tuple(elems), le)
@@ -161,77 +164,69 @@ def rado_star_antichain_witness(m: int, n: int) -> bool:
 # -- width and chain partitions -----------------------------------------------------
 
 MAX_POSET_SIZE = 200
-_BRUTE_CROSSCHECK_SIZE = 25
 
 
-def _matching_chains(p: FinitePoset) -> list[list[int]]:
-    """Chain partition from a maximum bipartite matching on the strict order."""
+def _check_size(n: int):
+    if n > MAX_POSET_SIZE:
+        raise ValueError(f"poset too large ({n} > {MAX_POSET_SIZE})")
+
+
+def _dilworth(p: FinitePoset) -> list[list[int]]:
+    """Minimum chain partition, each chain ascending, proved by an antichain.
+
+    A maximum matching M of left copies to right copies along the strict
+    order links n - |M| chains.  The alternating search from the unmatched
+    left copies marks a set Z, and (left copies outside Z) + (right copies
+    in Z) is a minimum vertex cover (König).  The elements with neither copy
+    in the cover form an antichain as large as the chain count, so both are
+    optimal by weak duality (Fulkerson 1956).
+    """
+    _check_size(len(p))
     n = len(p)
+    tops = [("L", i) for i in range(n)]
     B = nx.Graph()
-    B.add_nodes_from(("L", i) for i in range(n))
-    B.add_nodes_from(("R", i) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and p.le[i][j]:
-                B.add_edge(("L", i), ("R", j))
-    match = nx.bipartite.maximum_matching(B, top_nodes=[("L", i) for i in range(n)])
-    succ = {}
-    for node, partner in match.items():
-        if node[0] == "L":
-            succ[node[1]] = partner[1]
-    has_pred = set(succ.values())
+    B.add_nodes_from(tops + [("R", i) for i in range(n)])
+    above = [[j for j in range(n) if i != j and p.le[i][j]] for i in range(n)]
+    B.add_edges_from((("L", i), ("R", j)) for i in range(n) for j in above[i])
+    match = nx.bipartite.maximum_matching(B, top_nodes=tops)
+    succ = {a[1]: b[1] for a, b in match.items() if a[0] == "L"}
+    pred = {j: i for i, j in succ.items()}
     chains = []
     for start in range(n):
-        if start in has_pred:
-            continue
-        chain = [start]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        chains.append(chain)
+        if start not in pred:
+            chain = [start]
+            while chain[-1] in succ:
+                chain.append(succ[chain[-1]])
+            chains.append(chain)
+    left = [i for i in range(n) if i not in succ]
+    reached_left, reached_right = set(left), set()
+    while left:
+        for j in above[left.pop()]:
+            if j not in reached_right:
+                if j not in pred:
+                    raise AssertionError("matching is not maximum; bug")
+                # pred[j] is matched, so only its partner j reaches it
+                reached_right.add(j)
+                reached_left.add(pred[j])
+                left.append(pred[j])
+    anti = sorted(reached_left - reached_right)
+    if (len(anti) != len(chains)
+            or any(p.le[a][b] for a in anti for b in anti if a != b)
+            or sorted(x for c in chains for x in c) != list(range(n))
+            or not all(p.le[a][b] for c in chains for a, b in zip(c, c[1:]))):
+        raise AssertionError(
+            f"{len(chains)} chains not certified by antichain of {len(anti)}; bug")
     return chains
 
 
-def _max_antichain(p: FinitePoset) -> list[int]:
-    """Exhaustive maximum antichain as a clique of the incomparability graph."""
-    n = len(p)
-    G = nx.Graph()
-    G.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not p.le[i][j] and not p.le[j][i]:
-                G.add_edge(i, j)
-    clique, _ = nx.max_weight_clique(G, weight=None)
-    return sorted(clique)
-
-
 def poset_width(p: FinitePoset) -> int:
-    if len(p) > MAX_POSET_SIZE:
-        raise ValueError(f"poset too large ({len(p)} > {MAX_POSET_SIZE})")
-    if len(p) == 0:
-        return 0
-    width = len(_matching_chains(p))
-    if len(p) <= _BRUTE_CROSSCHECK_SIZE:
-        brute = len(_max_antichain(p))
-        if brute != width:
-            raise AssertionError(
-                f"matching width {width} != antichain width {brute}; bug")
-    return width
+    return len(_dilworth(p))
 
 
 def chain_partition(p: FinitePoset) -> list[list]:
     """Partition into exactly poset_width(p) chains, each sorted ascending."""
-    if len(p) > MAX_POSET_SIZE:
-        raise ValueError(f"poset too large ({len(p)} > {MAX_POSET_SIZE})")
-    chains = _matching_chains(p)
-    out = []
-    for chain in chains:
-        chain = sorted(chain, key=lambda i: sum(p.le[j][i] for j in chain))
-        for a, b in zip(chain, chain[1:]):
-            if not p.le[a][b]:
-                raise AssertionError("matching produced a non-chain; bug")
-        out.append([p.labels[i] for i in chain])
-    out.sort(key=lambda c: str(c[0]))
-    return out
+    return sorted(([p.labels[i] for i in c] for c in _dilworth(p)),
+                  key=lambda c: str(c[0]))
 
 
 # -- graph sequence prefixes --------------------------------------------------------
@@ -300,29 +295,27 @@ def rationalize(prefix, relation, **caps) -> RationalizeResult:
     final quarter of the prefix; that is a reported heuristic standing in
     for which chains would keep growing, not a verified property.
     """
-    relation = parse_relation(relation)
-    if not prefix:
-        return RationalizeResult((), ())
     poset, reps, last_pos = _prefix_poset(prefix, relation, **caps)
     cutoff = len(prefix) - max(1, -(-len(prefix) // 4))
-    chains = []
-    for chain_labels in chain_partition(poset):
-        graphs = tuple(reps[i] for i in chain_labels)
-        growing = last_pos[chain_labels[-1]] >= cutoff
-        chains.append(RationalizedChain(graphs, growing))
-    chains.sort(key=lambda c: enum_key(c.graphs[0]))
+    parts = chain_partition(poset)
+    sizes = Counter((reps[c[0]].n, reps[c[0]].total_units) for c in parts)
 
-    def chain_le(c, d):
-        return all(
-            any(contains(relation, x, y, **caps) for y in d.graphs)
-            for x in c.graphs)
+    def enum_order(c):
+        # enum_key order; canonical forms only break ties of size
+        g = reps[c[0]]
+        tied = sizes[g.n, g.total_units] > 1
+        return (g.n, g.total_units, canonical_form(g) if tied else b"")
 
-    growing = [c for c in chains if c.growing]
-    candidates = []
-    for c in growing:
-        dominated = any(
-            d is not c and chain_le(d, c) and not chain_le(c, d)
-            for d in growing)
-        if not dominated:
-            candidates.append(c)
-    return RationalizeResult(tuple(chains), tuple(candidates))
+    parts.sort(key=enum_order)
+    chains = [RationalizedChain(tuple(reps[i] for i in c),
+                                last_pos[c[-1]] >= cutoff) for c in parts]
+
+    def chain_le(a, b):
+        return all(any(poset.le[x][y] for y in parts[b]) for x in parts[a])
+
+    growing = [a for a, c in enumerate(chains) if c.growing]
+    candidates = tuple(
+        chains[a] for a in growing
+        if not any(b != a and chain_le(b, a) and not chain_le(a, b)
+                   for b in growing))
+    return RationalizeResult(tuple(chains), candidates)

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 from hypothesis import settings, strategies as st
 
 from obskit.multigraph import MultiGraph
@@ -33,3 +34,16 @@ def shuffled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return relabel(g, perm)
+
+
+def drop_one_matched_pair(monkeypatch):
+    """Make networkx's bipartite matching forget one of its matched pairs."""
+    real = nx.bipartite.maximum_matching
+
+    def corrupted(B, top_nodes=None):
+        match = dict(real(B, top_nodes=top_nodes))
+        left = min(node for node in match if node[0] == "L")
+        del match[match.pop(left)]
+        return match
+
+    monkeypatch.setattr(nx.bipartite, "maximum_matching", corrupted)

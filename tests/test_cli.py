@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from conftest import drop_one_matched_pair
 from obskit.cli import INTERNAL_EXIT, USAGE_EXIT, main
 from obskit.families import grid, star
 from obskit.multigraph import format_graph_text, from_graph6, to_graph6
+from obskit.poset import FinitePoset, format_poset_text, rado_truncation
 
 
 @pytest.fixture
@@ -241,6 +243,27 @@ def test_poset_width_from_file(capsys, files):
     code, out, _ = run(capsys, "poset", "chains", "--poset", p)
     assert json.loads(out)["chains"] in ([["a", "b"], ["c"]],
                                          [["a", "c"], ["b"]])
+
+
+def test_oversized_posets_are_rejected_before_they_are_built(capsys, files):
+    code, out, err = run(capsys, "poset", "rado", "--n", "40")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "poset too large (820 > 200)"}
+    p = files("big.txt", "".join(f"elem e{i}\n" for i in range(201)))
+    for action in ("width", "chains"):
+        code, out, err = run(capsys, "poset", action, "--poset", p)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "poset too large (201 > 200)"}
+
+
+def test_a_non_maximum_matching_exits_internal(capsys, files, monkeypatch):
+    drop_one_matched_pair(monkeypatch)
+    rado = rado_truncation(10)
+    p = files("p.txt", format_poset_text(
+        FinitePoset(tuple(f"{i}_{j}" for i, j in rado.labels), rado.le)))
+    code, out, err = run(capsys, "poset", "width", "--poset", p)
+    assert (code, out) == (INTERNAL_EXIT, "")
+    assert "not maximum" in json.loads(err)["error"]
 
 
 def test_poset_width_without_input_is_usage(capsys):

@@ -1,6 +1,13 @@
 import pytest
 
-from obskit.multigraph import MultiGraph, are_isomorphic, canonical_form, copies
+from obskit.multigraph import (
+    DEFAULT_ENUM_BUDGET,
+    MultiGraph,
+    are_isomorphic,
+    canonical_form,
+    copies,
+    format_graph_text,
+)
 from obskit.families import (
     CLASS_SPECS,
     FAMILIES,
@@ -122,6 +129,24 @@ def test_class_spec_roundtrip():
         [canonical_form(o) for o in spec.obstructions]
     with pytest.raises(ValueError):
         parse_class_spec("mode simple\n\nn 1\n")
+
+
+@pytest.mark.parametrize("header", [
+    "mode", "mode multi 0", "mode multi 50", "mode multi x", "mode multi -1",
+    "mode multi 2 3", "mode loose"])
+def test_class_spec_rejects_bad_mode_lines(header):
+    text = f"relation minor\n{header}\n\n" + format_graph_text(complete(3))
+    with pytest.raises(ValueError, match=f"bad class header line: '{header}'"):
+        parse_class_spec(text)
+
+
+def test_class_spec_multiplicity_cap_range():
+    text = "relation minor\nmode multi {}\n\n" + format_graph_text(complete(3))
+    top = DEFAULT_ENUM_BUDGET.max_multiplicity
+    assert parse_class_spec(text.format(1)).mult_cap == 1
+    assert parse_class_spec(text.format(top)).mult_cap == top
+    with pytest.raises(ValueError, match=f"integer in 1..{top}"):
+        parse_class_spec(text.format(top + 1))
 
 
 # -- omnivore ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-import random
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,8 @@ from obskit.poset import (
     sequence_width,
     set_below,
 )
+from conftest import drop_one_matched_pair
+from obskit import poset as poset_module
 from obskit.relations import Relation
 
 
@@ -92,6 +94,14 @@ def test_total_order_and_antichain_extremes():
     assert poset_width(FinitePoset((), ())) == 0
 
 
+def brute_width(p):
+    """Largest pairwise incomparable subset, by trying every subset."""
+    n = len(p)
+    return max(len(s) for r in range(n + 1)
+               for s in itertools.combinations(range(n), r)
+               if not any(p.le[a][b] for a in s for b in s if a != b))
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 12), st.randoms(use_true_random=False))
 def test_dilworth_on_random_posets(n, rng):
@@ -99,9 +109,22 @@ def test_dilworth_on_random_posets(n, rng):
              if rng.random() < 0.4]
     p = poset_from_relations(range(n), pairs)
     w = poset_width(p)
+    assert w == brute_width(p)
     chains = chain_partition(p)
     assert len(chains) == w
     assert sorted(x for c in chains for x in c) == list(range(n))
+    for c in chains:
+        assert all(p.le[a][b] for a, b in zip(c, c[1:]))
+
+
+def test_a_non_maximum_matching_is_caught(monkeypatch):
+    drop_one_matched_pair(monkeypatch)
+    p = rado_truncation(10)
+    assert len(p) == 55
+    with pytest.raises(AssertionError):
+        poset_width(p)
+    with pytest.raises(AssertionError):
+        chain_partition(p)
 
 
 def test_size_guard():
@@ -110,6 +133,10 @@ def test_size_guard():
     big = FinitePoset(tuple(range(n)), le)
     with pytest.raises(ValueError):
         poset_width(big)
+    with pytest.raises(ValueError, match=r"poset too large \(201 > 200\)"):
+        parse_poset_text("".join(f"elem e{i}\n" for i in range(n)))
+    with pytest.raises(ValueError, match=r"poset too large \(210 > 200\)"):
+        rado_truncation(20)
 
 
 # -- the pair order whose powerset lifting goes bad ---------------------------------
@@ -138,6 +165,9 @@ def test_rado_truncation_width():
     # the top column {(i, 5)} is a maximum antichain
     assert poset_width(rado_truncation(5)) == 5
     assert poset_width(rado_truncation(3)) == 3
+    # 190 elements: far beyond any brute-force check, proved by the antichain
+    assert poset_width(rado_truncation(19)) == 19
+    assert len(chain_partition(rado_truncation(19))) == 19
 
 
 def test_witness_rows_are_incomparable():
@@ -195,3 +225,30 @@ def test_rationalize_drops_stalled_chains():
     assert len(res.chains) == 2
     assert len(growing) == 1
     assert list(res.candidates) == growing
+
+
+def test_rationalize_orders_large_trees_without_canonical_forms():
+    res = rationalize([complete(3), ternary_tree(3)], Relation.MINOR)
+    assert [c.graphs for c in res.chains] == [(complete(3),), (ternary_tree(3),)]
+    assert [c.growing for c in res.chains] == [False, True]
+    assert [c.graphs for c in res.candidates] == [(ternary_tree(3),)]
+
+
+def test_rationalize_asks_no_containment_after_building_the_poset(monkeypatch):
+    calls = []
+    real_contains, real_prefix = poset_module.contains, poset_module._prefix_poset
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_contains(*args, **kwargs)
+
+    def prefix_poset(*args, **kwargs):
+        out = real_prefix(*args, **kwargs)
+        calls.append("built")
+        return out
+
+    monkeypatch.setattr(poset_module, "contains", counted)
+    monkeypatch.setattr(poset_module, "_prefix_poset", prefix_poset)
+    res = rationalize(interleaved_prefix(), Relation.MINOR)
+    assert len(res.candidates) == 2
+    assert calls[-1] == "built" and len(calls) > 1
