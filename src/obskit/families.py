@@ -394,6 +394,10 @@ class ClassSpec:
     mult_cap: int = 2
 
     def __post_init__(self):
+        top = DEFAULT_ENUM_BUDGET.max_multiplicity
+        if not 1 <= self.mult_cap <= top:
+            raise ValueError(f"mult_cap {self.mult_cap!r}: the cap must be an "
+                             f"integer in 1..{top}")
         if not is_antichain(self.relation, self.obstructions):
             raise ValueError("obstruction list must be an antichain")
 

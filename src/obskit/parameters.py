@@ -1,23 +1,29 @@
 """Exact solvers for the width and apex parameters used across the toolkit.
 
-The width solvers are exponential subset dynamic programs over vertex
-bitmasks, exact at desk scale and guarded by hard vertex caps.  Width
-parameters of a multigraph are those of its simplification, except cutwidth,
-which counts edge multiplicities.  The empty graph evaluates to 0 everywhere
-so the parameters stay total and monotone at the bottom.
+The width solvers are exponential searches over vertex bitmasks, exact at
+desk scale and guarded by hard vertex caps.  Width parameters of a
+multigraph are those of its simplification, except cutwidth, which counts
+edge multiplicities.  The empty graph evaluates to 0 everywhere so the
+parameters stay total and monotone at the bottom.
 
 Each solver that promises a witness returns one that an independent checker
 (`layout_*_cost`, `is_z_apex_witness`) re-evaluates without consulting the
-DP tables.  treewidth, pathwidth and cutwidth share one layout DP,
-`_layout_dp`, and break ties toward the lowest vertex.
+search.  treewidth, pathwidth and cutwidth share `_layout_search`, which
+bisects the least worst step cost over vertex orders between a lower bound
+and a layout known to cost the upper bound.  Each probe is a depth-first
+search over prefix sets that remembers the prefixes proved hopeless, so
+graphs whose bounds meet or nearly meet visit few of the 2^n prefixes.
 
-treewidth tries polynomial bounds first (`_tw_bounds`: minor-min-width below,
-the better of greedy min-fill and min-degree elimination above).  When they
-meet, the elimination order read backwards is the witness layout and no DP
-runs; otherwise the DP runs and its value must lie between the bounds.
-`parameter_at_most(TREEWIDTH, ...)` answers from the bounds whenever they
-decide it.  treewidth_by_elimination deliberately skips the bounds: it stays
-the raw DP, so comparing the two solvers remains a real cross-check.
+- treewidth: `_tw_bounds`, minor-min-width below and the better of greedy
+  min-fill and min-degree elimination above, whose order read backwards is
+  the layout; the value must lie between them.  `parameter_at_most(
+  TREEWIDTH, ...)` answers from the bounds whenever they decide it.
+  treewidth_by_elimination deliberately skips the bounds: it stays the raw
+  DP, so comparing the two solvers remains a real cross-check.
+- pathwidth: minor-min-width below (mmw <= tw <= pw), a greedy cheapest-next
+  layout above.
+- cutwidth: the same greedy above; below, the larger of half the largest
+  edge degree and a bound on the cut after the first i vertices.
 
 bi_pathwidth is the maximum pathwidth over blocks.  A minimum would not be
 minor-monotone (a pendant edge glued to K4 would drag the value down to 1),
@@ -64,53 +70,75 @@ def _mask_neighbors(mask: int, nmask: tuple[int, ...]) -> int:
     return out
 
 
-_INF = float("inf")
-
-
-def _layout_dp(n: int, cost) -> tuple[int, Layout]:
-    """Least worst step cost over all vertex orders, with an order attaining it.
-
-    cost(prev, v) is the cost of placing v right after the prefix set prev.
-    States run in increasing integer order, which is a valid topological
-    order because every prev = s ^ bit is smaller than s; ties go to the
-    lowest v.
-    """
-    size = 1 << n
-    dp = [0] * size
-    choice = [0] * size
-    for s in range(1, size):
-        best, bv = _INF, -1
-        m = s
-        while m:
-            bit = m & -m
-            m ^= bit
-            prev = s ^ bit
-            d = dp[prev]
-            if d >= best:
-                continue
-            v = bit.bit_length() - 1
-            c = cost(prev, v)
-            val = d if d > c else c
-            if val < best:
-                best, bv = val, v
-        dp[s] = best
-        choice[s] = bv
-    order: list[int] = []
-    s = size - 1
-    while s:
-        v = choice[s]
-        order.append(v)
-        s ^= 1 << v
-    order.reverse()
-    return dp[size - 1], Layout(tuple(order))
-
-
 def _bits(mask: int):
     """The vertices of a bitmask, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _fits(n: int, step, k: int) -> list[int] | None:
+    """An order whose every step costs at most k, or None if there is none.
+
+    Depth-first over prefix sets, lowest vertex first.  Whether a prefix
+    can be completed depends on the set alone, so one proved hopeless is
+    kept in `dead` and never entered again.
+    """
+    full = (1 << n) - 1
+    dead: set[int] = set()
+    order: list[int] = []
+
+    def extend(prev: int, val) -> bool:
+        if prev == full:
+            return True
+        for v in _bits(full & ~prev):
+            s = prev | 1 << v
+            if s in dead:
+                continue
+            cost, nval = step(prev, v, val)
+            if cost <= k:
+                order.append(v)
+                if extend(s, nval):
+                    return True
+                order.pop()
+        dead.add(prev)
+        return False
+
+    return order if extend(0, 0) else None
+
+
+def _greedy_layout(n: int, step) -> tuple[int, list[int]]:
+    """(worst cost, order) of placing a cheapest next vertex at every step,
+    ties to the lowest."""
+    full = (1 << n) - 1
+    prev, val, worst, order = 0, 0, 0, []
+    while prev != full:
+        cost, val, v = min(((*step(prev, v, val), v) for v in _bits(full & ~prev)),
+                           key=lambda found: found[0])
+        worst = max(worst, cost)
+        prev |= 1 << v
+        order.append(v)
+    return worst, order
+
+
+def _layout_search(n: int, step, lo: int, hi: int, order) -> tuple[int, Layout]:
+    """Least worst step cost over all vertex orders, with an order attaining it.
+
+    step(prev, v, val) -> (cost, val') is the cost of placing v right after
+    the prefix set prev, and carries a value from prefix to prefix: val is
+    what the step into prev returned (0 for the empty prefix), val' goes on
+    to prev | v.  lo must be a lower bound and order must cost hi; the
+    search bisects between them with `_fits`.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = _fits(n, step, mid)
+        if found is None:
+            lo = mid + 1
+        else:
+            hi, order = mid, found
+    return hi, Layout(tuple(order))
 
 
 def _fill_in(adj: list[int], v: int) -> int:
@@ -181,25 +209,23 @@ def treewidth(g: MultiGraph) -> tuple[int, Layout]:
     Uses the layout characterization: at each position, count the earlier
     vertices adjacent to the connected component (within the unplaced
     suffix) of the vertex placed there; treewidth is the min over layouts
-    of the worst position.  When `_tw_bounds` meet, their elimination order
-    read backwards is the layout and no DP runs.
+    of the worst position.  The search runs between `_tw_bounds`, from
+    their elimination order read backwards; when they meet it does nothing.
     """
     g = g.simplify()
     _check_cap(g, MAX_TREEWIDTH_VERTICES, "treewidth")
     lo, hi, order = _tw_bounds(g)
-    if lo == hi:
-        return hi, Layout(tuple(reversed(order)))
     nmask = g.neighbor_masks
     full = (1 << g.n) - 1
 
-    def cost(prev: int, v: int) -> int:
+    def step(prev: int, v: int, _):
         comp = _component_mask(v, full & ~prev, nmask)
-        return (_mask_neighbors(comp, nmask) & prev).bit_count()
+        return (_mask_neighbors(comp, nmask) & prev).bit_count(), 0
 
-    value, layout = _layout_dp(g.n, cost)
+    value, layout = _layout_search(g.n, step, lo, hi, order[::-1])
     if not lo <= value <= hi:
-        raise AssertionError(f"treewidth DP gave {value} outside its bounds "
-                             f"lo={lo}, hi={hi}")
+        raise AssertionError(f"treewidth search gave {value} outside its "
+                             f"bounds lo={lo}, hi={hi}")
     return value, layout
 
 
@@ -237,41 +263,45 @@ def treewidth_by_elimination(g: MultiGraph) -> int:
 
 
 def pathwidth(g: MultiGraph) -> tuple[int, Layout]:
-    """Exact pathwidth via vertex separation, with a witness layout."""
+    """Exact pathwidth via vertex separation, with a witness layout.
+
+    A step costs the boundary of the prefix after it: the placed vertices
+    with a neighbour still unplaced.  The boundary is carried as a mask."""
     g = g.simplify()
     _check_cap(g, MAX_PATHWIDTH_VERTICES, "pathwidth")
-    n = g.n
     nmask = g.neighbor_masks
-    full = (1 << n) - 1
-    size = 1 << n
-    boundary = [0] * size
-    for s in range(size):
-        b = 0
-        m = s
-        while m:
-            low = m & -m
-            if nmask[low.bit_length() - 1] & ~s & full:
-                b += 1
-            m ^= low
-        boundary[s] = b
-    return _layout_dp(n, lambda prev, v: boundary[prev])
+
+    def step(prev: int, v: int, bound: int):
+        s = prev | 1 << v
+        bound |= 1 << v
+        for u in _bits(bound & (nmask[v] | 1 << v)):
+            if not nmask[u] & ~s:
+                bound ^= 1 << u
+        return bound.bit_count(), bound
+
+    return _layout_search(g.n, step, _minor_min_width(nmask),
+                          *_greedy_layout(g.n, step))
 
 
 def cutwidth(g: MultiGraph) -> tuple[int, Layout]:
-    """Exact cutwidth, counting multiplicities, with a witness layout."""
+    """Exact cutwidth, counting multiplicities, with a witness layout.
+
+    Below: half the largest edge degree, and the cut after the first i
+    vertices of any order, at least their i smallest edge degrees less the
+    i(i-1)/2 pairs among them, each of multiplicity at most mu, twice."""
     _check_cap(g, MAX_CUTWIDTH_VERTICES, "cutwidth")
-    size = 1 << g.n
     adj = g.adj
-    cut = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        v = low.bit_length() - 1
-        prev = s ^ low
-        delta = 0
+    degs = sorted(g.edge_degrees)
+    mu = g.max_multiplicity()
+    lo = max([(max(degs, default=0) + 1) // 2]
+             + [d - i * (i + 1) * mu for i, d in enumerate(itertools.accumulate(degs))])
+
+    def step(prev: int, v: int, cut: int):
         for w, m in adj[v].items():
-            delta -= m if prev >> w & 1 else -m
-        cut[s] = cut[prev] + delta
-    return _layout_dp(g.n, lambda prev, v: cut[prev | 1 << v])
+            cut += -m if prev >> w & 1 else m
+        return cut, cut
+
+    return _layout_search(g.n, step, lo, *_greedy_layout(g.n, step))
 
 
 def edge_degree(g: MultiGraph) -> int:

@@ -183,13 +183,15 @@ def _dilworth(p: FinitePoset) -> list[list[int]]:
     """
     _check_size(len(p))
     n = len(p)
-    tops = [("L", i) for i in range(n)]
+    # left copy i is node i and right copy j is node n + j: integer nodes
+    # hash the same in every run, so the matching does not vary with
+    # PYTHONHASHSEED
     B = nx.Graph()
-    B.add_nodes_from(tops + [("R", i) for i in range(n)])
+    B.add_nodes_from(range(2 * n))
     above = [[j for j in range(n) if i != j and p.le[i][j]] for i in range(n)]
-    B.add_edges_from((("L", i), ("R", j)) for i in range(n) for j in above[i])
-    match = nx.bipartite.maximum_matching(B, top_nodes=tops)
-    succ = {a[1]: b[1] for a, b in match.items() if a[0] == "L"}
+    B.add_edges_from((i, n + j) for i in range(n) for j in above[i])
+    match = nx.bipartite.maximum_matching(B, top_nodes=range(n))
+    succ = {a: b - n for a, b in match.items() if a < n}
     pred = {j: i for i, j in succ.items()}
     chains = []
     for start in range(n):

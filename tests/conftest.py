@@ -42,7 +42,7 @@ def drop_one_matched_pair(monkeypatch):
 
     def corrupted(B, top_nodes=None):
         match = dict(real(B, top_nodes=top_nodes))
-        left = min(node for node in match if node[0] == "L")
+        left = min(node for node in match if node in top_nodes)
         del match[match.pop(left)]
         return match
 

@@ -305,6 +305,34 @@ def test_module_entry_point_runs_as_subprocess():
     assert json.loads(proc.stdout)["width"] == 3
 
 
+def test_poset_chains_do_not_depend_on_the_hash_seed(files):
+    import os
+    import random
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import obskit
+    # 30 points of a grid under dominance: many maximum matchings to pick from
+    rng = random.Random(11)
+    pts = sorted({(rng.randrange(30), rng.randrange(30)) for _ in range(30)})
+    p = files("p.txt", format_poset_text(FinitePoset(
+        tuple(f"p{i}" for i in range(len(pts))),
+        tuple(tuple(a[0] <= b[0] and a[1] <= b[1] for b in pts) for a in pts))))
+    src = str(Path(obskit.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            q for q in (src, os.environ.get("PYTHONPATH")) if q)
+        proc = subprocess.run(
+            [sys.executable, "-m", "obskit.cli", "poset", "chains", "--poset", p],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("script", ["gap_survey.py", "make_fixtures.py",
                                     "obstruction_report.py", "omnivore_walk.py"])
 def test_scripts_run_from_a_plain_checkout(script, tmp_path):

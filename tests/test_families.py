@@ -149,6 +149,16 @@ def test_class_spec_multiplicity_cap_range():
         parse_class_spec(text.format(top + 1))
 
 
+def test_class_spec_checks_its_multiplicity_cap():
+    top = DEFAULT_ENUM_BUDGET.max_multiplicity
+    for cap in (0, top + 1):
+        with pytest.raises(ValueError, match=f"integer in 1..{top}"):
+            ClassSpec(Relation.MINOR, (complete(3),), Mode.MULTI, mult_cap=cap)
+    for cap in range(1, top + 1):
+        spec = ClassSpec(Relation.MINOR, (complete(3),), Mode.MULTI, mult_cap=cap)
+        assert parse_class_spec(format_class_spec(spec)).mult_cap == cap
+
+
 # -- omnivore ---------------------------------------------------------------------
 
 

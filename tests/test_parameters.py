@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obskit.multigraph import (MultiGraph, contract_edge, delete_edge,
-                               delete_vertex, enumerate_graphs)
+from obskit.multigraph import (MultiGraph, _component_mask, contract_edge,
+                               delete_edge, delete_vertex, enumerate_graphs)
 from obskit.families import (
     complete,
     complete_bipartite,
@@ -138,10 +139,107 @@ def test_open_bounds_run_the_dp_and_check_its_value(monkeypatch):
     assert treewidth(OPEN_AT_LO)[0] == 4
     assert P._tw_bounds(OPEN_AT_HI)[:2] == (3, 4)
     assert treewidth(OPEN_AT_HI)[0] == 4
-    monkeypatch.setattr(P, "_layout_dp",
-                        lambda n, cost: (2, P.Layout(tuple(range(n)))))
+    monkeypatch.setattr(P, "_layout_search", lambda n, step, lo, hi, order:
+                        (2, P.Layout(tuple(range(n)))))
     with pytest.raises(AssertionError, match="2 outside its bounds lo=3, hi=4"):
         treewidth(OPEN_AT_HI)
+
+
+# -- reference: the full-table DP that the bisecting search replaced ---------------
+
+
+def _table_dp(n, cost):
+    """Least worst cost(prev, v) over all vertex orders, filling all 2^n states."""
+    size = 1 << n
+    dp = [0] * size
+    for s in range(1, size):
+        best = float("inf")
+        m = s
+        while m:
+            bit = m & -m
+            m ^= bit
+            prev = s ^ bit
+            d = dp[prev]
+            if d >= best:
+                continue
+            c = cost(prev, bit.bit_length() - 1)
+            val = d if d > c else c
+            if val < best:
+                best = val
+        dp[s] = best
+    return dp[size - 1]
+
+
+def _reference_pathwidth(g):
+    g = g.simplify()
+    nmask, full = g.neighbor_masks, (1 << g.n) - 1
+    boundary = [0] * (1 << g.n)
+    for s in range(1 << g.n):
+        m = s
+        while m:
+            low = m & -m
+            boundary[s] += bool(nmask[low.bit_length() - 1] & ~s & full)
+            m ^= low
+    return _table_dp(g.n, lambda prev, v: boundary[prev])
+
+
+def _reference_cutwidth(g):
+    cut = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        prev = s ^ low
+        cut[s] = cut[prev] + sum(-m if prev >> w & 1 else m
+                                 for w, m in g.adj[low.bit_length() - 1].items())
+    return _table_dp(g.n, lambda prev, v: cut[prev | 1 << v])
+
+
+def _reference_treewidth(g):
+    g = g.simplify()
+    nmask, full = g.neighbor_masks, (1 << g.n) - 1
+
+    def cost(prev, v):
+        comp = _component_mask(v, full & ~prev, nmask)
+        return (P._mask_neighbors(comp, nmask) & prev).bit_count()
+    return _table_dp(g.n, cost)
+
+
+def _random_connected(rng, n, m):
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return MultiGraph.build(n, sorted(edges))
+
+
+def _oracle_graphs():
+    rng = random.Random(1207)
+    yield from enumerate_graphs(7, 1)
+    yield from enumerate_graphs(5, 2)
+    for n in range(9, 14):
+        for m in (n, 3 * n // 2, 2 * n):
+            yield _random_connected(rng, n, m)
+    yield complete(13)
+    yield complete_bipartite(7, 7)
+    yield MultiGraph.build(9, [(0, 1, 3), (1, 2), (2, 3, 2), (3, 0), (0, 4, 4),
+                               (4, 5), (5, 6, 2), (6, 7), (7, 8, 3), (8, 4),
+                               (2, 6), (1, 5, 2)])
+
+
+def test_layout_search_matches_the_table_dp():
+    open_graphs = 0
+    for g in _oracle_graphs():
+        pw, lay = pathwidth(g)
+        assert layout_pathwidth_cost(g, lay) == pw == _reference_pathwidth(g), g
+        cw, lay = cutwidth(g)
+        assert layout_cutwidth_cost(g, lay) == cw == _reference_cutwidth(g), g
+        assert bi_pathwidth(g) == max(
+            (_reference_pathwidth(b) for b in P._blocks(g)), default=0), g
+        tw, lay = treewidth(g)
+        assert layout_treewidth_cost(g, lay) == tw, g
+        lo, hi, _ = P._tw_bounds(g)
+        if lo < hi:
+            assert tw == _reference_treewidth(g), g
+            open_graphs += 1
+    assert open_graphs >= 3  # the search between the bounds stays covered
 
 
 def test_treewidth_at_most_matches_the_value():
