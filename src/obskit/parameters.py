@@ -83,29 +83,29 @@ def _fits(n: int, step, k: int) -> list[int] | None:
 
     Depth-first over prefix sets, lowest vertex first.  Whether a prefix
     can be completed depends on the set alone, so one proved hopeless is
-    kept in `dead` and never entered again.
+    kept in `dead` and never entered again.  `_extend` is no closure over
+    itself, so `dead` is freed when the probe returns, not by the collector.
     """
-    full = (1 << n) - 1
-    dead: set[int] = set()
     order: list[int] = []
+    return order if _extend(0, 0, (1 << n) - 1, step, k, set(), order) else None
 
-    def extend(prev: int, val) -> bool:
-        if prev == full:
-            return True
-        for v in _bits(full & ~prev):
-            s = prev | 1 << v
-            if s in dead:
-                continue
-            cost, nval = step(prev, v, val)
-            if cost <= k:
-                order.append(v)
-                if extend(s, nval):
-                    return True
-                order.pop()
-        dead.add(prev)
-        return False
 
-    return order if extend(0, 0) else None
+def _extend(prev: int, val, full: int, step, k: int, dead: set, order: list) -> bool:
+    """Whether prefix prev can be completed; if so, order gets the rest."""
+    if prev == full:
+        return True
+    for v in _bits(full & ~prev):
+        s = prev | 1 << v
+        if s in dead:
+            continue
+        cost, nval = step(prev, v, val)
+        if cost <= k:
+            order.append(v)
+            if _extend(s, nval, full, step, k, dead, order):
+                return True
+            order.pop()
+    dead.add(prev)
+    return False
 
 
 def _greedy_layout(n: int, step) -> tuple[int, list[int]]:

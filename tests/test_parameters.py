@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -240,6 +241,20 @@ def test_layout_search_matches_the_table_dp():
             assert tw == _reference_treewidth(g), g
             open_graphs += 1
     assert open_graphs >= 3  # the search between the bounds stays covered
+
+
+def test_layout_search_leaves_no_cycles_behind():
+    # each probe's hopeless-prefix set goes when the probe returns, so the
+    # solvers' memory and the collector's work do not depend on when it runs
+    graphs = (complete_bipartite(7, 7), OPEN_AT_HI, grid(3))
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            treewidth(g), pathwidth(g), cutwidth(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_treewidth_at_most_matches_the_value():
