@@ -25,6 +25,7 @@ Conventions pinned here and relied on by fixtures elsewhere:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,8 +33,7 @@ from .multigraph import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     MultiGraph,
-    enum_key,
-    enumerate_closed,
+    _grow_closed,
     format_graph_text,
     parse_graph_text,
 )
@@ -471,10 +471,12 @@ def omnivore_step(spec: ClassSpec, k: int, prev: MultiGraph | None = None,
         raise BudgetExceededError(
             "coverage level exceeds the enumeration budget",
             {"k": k, "vertex_budget": n_budget})
-    targets = sorted(enumerate_closed(k, mult_cap, spec.member),
-                     key=enum_key, reverse=True)
+    # one growth: its first k + 1 member layers are the targets, in enumeration order
+    grown = (inside for inside, _ in _grow_closed(spec.member, n_budget, mult_cap))
+    early = list(itertools.islice(grown, k + 1))
+    targets = [g for inside in early for g in inside][::-1]
     frontier = 0
-    for cand in enumerate_closed(n_budget, mult_cap, spec.member):
+    for cand in itertools.chain.from_iterable(itertools.chain(early, grown)):
         frontier = cand.n
         if prev is not None and not contains(spec.relation, prev, cand,
                                              mode=spec.mode):

@@ -12,6 +12,9 @@ solvers, obstruction scans) relies on three guarantees made here:
   canonically labelled: its vertex i is vertex i of the canonical order, so
   the representative depends only on the class, never on how enumeration
   reached it.
+
+One private grower, `_grow_closed`, grows closed classes for both the
+obstruction scan and the omnivore construction.
 """
 from __future__ import annotations
 
@@ -541,8 +544,7 @@ def _check_enum_budget(n_max: int, mult_max: int, budget: EnumBudget):
             {"n_max": n_max, "mult_max": mult_max, "allowed": cap})
 
 
-def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int,
-                  member: Callable[[MultiGraph], bool] | None = None) -> list[MultiGraph]:
+def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int) -> list[MultiGraph]:
     """All isomorphism classes on n vertices obtained by attaching one vertex,
     canonically labelled and in `enum_key` order.
 
@@ -552,9 +554,10 @@ def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int,
     built.  The rule loses no class whose deletion of a vertex of largest
     value leaves a class in `layer`: attaching the vertex back to that
     class's representative gives a child isomorphic to the graph, whose new
-    vertex has the largest value.  When `layer` is every class (or every
-    member of a class closed under vertex deletion) on n-1 vertices, that is
-    every class (or member) on n vertices.
+    vertex has the largest value.  When `layer` is every class on n-1
+    vertices, that is every class on n vertices; when it is every member of
+    a class closed under vertex deletion, it covers every member on n
+    vertices, and `_grow_closed` sorts out which children are members.
     """
     keys: set[bytes] = set()
     for parent in layer:
@@ -565,10 +568,7 @@ def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int,
             if any((ed[u] + m, dg[u] + (m > 0)) > top for u, m in enumerate(attach)):
                 continue
             extra = tuple((u, n - 1, m) for u, m in enumerate(attach) if m > 0)
-            child = MultiGraph(n, tuple(sorted(base + extra)))
-            if member is not None and not member(child):
-                continue
-            keys.add(canonical_form(child))
+            keys.add(canonical_form(MultiGraph(n, tuple(sorted(base + extra)))))
     pool: dict = {}
     return sorted((_from_canonical(k, pool) for k in keys), key=enum_key)
 
@@ -601,22 +601,27 @@ def enumerate_graphs(n_max: int, mult_max: int = 1,
                 yield g
 
 
-def enumerate_closed(n_max: int, mult_max: int,
-                     member: Callable[[MultiGraph], bool]) -> Iterator[MultiGraph]:
-    """Members of a vertex-deletion-closed class, in enumeration order.
+def _grow_closed(member: Callable[[MultiGraph], bool], n_max: int,
+                 mult_max: int) -> Iterator[tuple[list[MultiGraph], list[MultiGraph]]]:
+    """Layers 0, 1, ... of a vertex-deletion-closed class, each split into
+    (members, non-members) in enumeration order.
 
-    Layers are grown inside the class: a member on n vertices stays a member
-    after deleting any vertex, so extending member classes reaches every
-    member.  No budget cap applies; callers bound n_max themselves.
+    `member` is asked once per canonical class.  Only members are extended:
+    a member on n vertices stays a member after deleting any vertex, so the
+    extensions of the members on n - 1 vertices cover every member on n
+    vertices and every non-member all of whose vertex deletions are
+    members.  Growth stops after an empty member layer or after layer
+    n_max.  No budget cap applies; callers bound n_max themselves.
     """
-    if member(K0):
-        yield K0
-    layer = [K0] if member(K0) else []
-    if not layer:
-        return
-    for n in range(1, n_max + 1):
-        layer = _extend_layer(layer, n, mult_max, member=member)
-        yield from layer
+    layer = [K0]
+    for n in range(n_max + 1):
+        inside, outside = [], []
+        for g in layer:
+            (inside if member(g) else outside).append(g)
+        yield inside, outside
+        if not inside or n == n_max:
+            return
+        layer = _extend_layer(inside, n + 1, mult_max)
 
 
 # -- serialization ---------------------------------------------------------

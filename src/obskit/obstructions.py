@@ -14,9 +14,10 @@ equivalence is itself re-checked on small universes by the tests.
 Layers grow inside the class instead of covering the whole universe.
 Vertex deletion is a single step of every relation, so a closed class is
 closed under it, and every member or minimal violator on n vertices is a
-one-vertex extension of a member on n - 1 vertices: extending only the
-members (`multigraph._extend_layer`) reaches all of them, and an empty
-member layer ends the scan.
+one-vertex extension of a member on n - 1 vertices.  The scan takes its
+layers from `multigraph._grow_closed`, the grower the omnivore construction
+uses too: it extends only the members, asks the predicate once per class,
+and stops after an empty member layer.
 
 Reports are complete only up to their (n_max, mult_max) bound: an obstruction
 with more vertices is invisible, so every report carries its bound and a note
@@ -42,11 +43,10 @@ import networkx as nx
 
 from .multigraph import (
     DEFAULT_ENUM_BUDGET,
-    K0,
     MultiGraph,
     _check_enum_budget,
-    _extend_layer,
     _forest,
+    _grow_closed,
     canonical_form,
     delete_vertex,
     parse_graph_set,
@@ -93,12 +93,13 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
     """All step-minimal predicate violators with at most n_max vertices,
     canonically labelled and in enumeration order.
 
-    Layer n is the one-vertex extensions of the members on n - 1 vertices,
-    which covers every member and every minimal violator because the class
-    is closed under vertex deletion.  The scan bails out of a violator as
-    soon as one reduction also violates, so the cost is dominated by the
-    class and its boundary, not by the size of the universe.  The size caps
-    of `enumerate_graphs` still apply.
+    The layers come from `_grow_closed`: layer n is the one-vertex
+    extensions of the members on n - 1 vertices, which covers every member
+    and every minimal violator because the class is closed under vertex
+    deletion.  The scan bails out of a violator as soon as one reduction
+    also violates, so the cost is dominated by the class and its boundary,
+    not by the size of the universe.  The size caps of `enumerate_graphs`
+    still apply.
     """
     relation = parse_relation(relation)
     mode = Mode.SIMPLE if mult_max == 1 else Mode.MULTI
@@ -109,17 +110,10 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
 
     members = []
     found = []
-    layer = [K0]
-    while layer:
-        parents = []
-        for g in layer:
-            if predicate(g):
-                parents.append(g)
-            elif all(predicate(r) for r in _single_steps(g, relation, mode)):
-                found.append(g)
-        members += parents
-        n = layer[0].n + 1
-        layer = _extend_layer(parents, n, mult_max) if n <= n_max else []
+    for inside, outside in _grow_closed(predicate, n_max, mult_max):
+        members += inside
+        found += [g for g in outside
+                  if all(predicate(r) for r in _single_steps(g, relation, mode))]
 
     rng = random.Random(rng_seed)
     sample = (members if len(members) <= closure_samples

@@ -16,9 +16,11 @@ equal on every call.  A mismatch is an implementation bug, never data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .families import ParametricFamily, family_by_name, growth_size
+from .families import (GRID_FAMILY, STAR_FAMILY, TERNARY_TREE_APEX_DUAL_FAMILY,
+                       TERNARY_TREE_APEX_FAMILY, TERNARY_TREE_FAMILY, THETA_FAMILY,
+                       ParametricFamily, family_by_name, growth_size)
 from .multigraph import MultiGraph, enum_key, enumerate_graphs
 from .parameters import ParameterKind, parameter_value
 from .relations import Mode, Relation, contains, default_mode, parse_relation
@@ -277,20 +279,14 @@ def gap_report(kind: ParameterKind, coll: PrimeCollection, corpus) -> GapReport:
 
 # -- shipped collections and certificates ------------------------------------------
 
-def _registered(name):
-    return family_by_name(name)
-
-
-GRID_COLLECTION = PrimeCollection(
-    "grids", Relation.MINOR, (_registered("grid"),))
+GRID_COLLECTION = PrimeCollection("grids", Relation.MINOR, (GRID_FAMILY,))
 TREE_COLLECTION = PrimeCollection(
-    "ternary-trees", Relation.MINOR, (_registered("ternary_tree"),))
+    "ternary-trees", Relation.MINOR, (TERNARY_TREE_FAMILY,))
 DEGREE_COLLECTION = PrimeCollection(
-    "thetas-and-stars", Relation.IMMERSION,
-    (_registered("theta"), _registered("star")))
+    "thetas-and-stars", Relation.IMMERSION, (THETA_FAMILY, STAR_FAMILY))
 BLOCK_COLLECTION = PrimeCollection(
     "apex-trees-and-duals", Relation.MINOR,
-    (_registered("ternary_tree_apex"), _registered("ternary_tree_apex_dual")))
+    (TERNARY_TREE_APEX_FAMILY, TERNARY_TREE_APEX_DUAL_FAMILY))
 
 COLLECTIONS = {c.name: c for c in
                (GRID_COLLECTION, TREE_COLLECTION, DEGREE_COLLECTION,

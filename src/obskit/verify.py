@@ -7,12 +7,11 @@ produce identical output.
 from __future__ import annotations
 
 from .families import FAMILIES, growth_size, verify_family_step
-from .multigraph import MultiGraph, canonical_form, enum_key, enumerate_graphs
+from .multigraph import canonical_form, enumerate_graphs
 from .obstructions import BUILTIN_CLASSES, compute_obstructions, fixture_graphs
-from .parameters import TREEWIDTH, PATHWIDTH, EDGE_DEGREE, parameter_value, \
-    treewidth, treewidth_by_elimination
-from .relations import Mode, Relation, contains
-from .universal import (COLLECTIONS, gap_report, mixed_corpus,
+from .parameters import treewidth, treewidth_by_elimination
+from .relations import Relation, contains
+from .universal import (CERTIFICATES, COLLECTIONS, gap_report, mixed_corpus,
                         p_of_collection, theta_star_corpus, tree_corpus)
 from .poset import rado_star_antichain_witness, rado_truncation, poset_width
 
@@ -139,24 +138,24 @@ def suite_rado():
 
 
 def suite_gaps():
+    """Check each shipped certificate's gap function on its corpus."""
     checks = []
 
-    rep = gap_report(EDGE_DEGREE, COLLECTIONS["thetas-and-stars"],
-                     theta_star_corpus())
-    off = [r for r in rep.rows if r.collection - r.parameter != 1]
+    cert = CERTIFICATES["edge_degree"]
+    rep = gap_report(cert.kind, cert.collection, theta_star_corpus())
+    off = [r for r in rep.rows if r.collection != cert.gap(r.parameter)]
     checks.append(_check("edge-degree-gap-exactly-1",
                          not off, f"{len(rep.rows)} rows"))
 
-    rep = gap_report(TREEWIDTH, COLLECTIONS["grids"],
-                     list(enumerate_graphs(7, 1)))
-    over = [r for r in rep.rows if r.collection > r.parameter + 1]
+    cert = CERTIFICATES["treewidth"]
+    rep = gap_report(cert.kind, cert.collection, list(enumerate_graphs(7, 1)))
+    over = [r for r in rep.rows if r.collection > cert.gap(r.parameter)]
     checks.append(_check("grid-value-at-most-treewidth-plus-1",
                          not over, f"{len(rep.rows)} simple graphs to 7 vertices"))
 
-    table = {0: 1, 1: 2, 2: 2}
-    rep = gap_report(PATHWIDTH, COLLECTIONS["ternary-trees"], tree_corpus(9))
-    over = [(k, v) for k, v in rep.envelope_by_parameter
-            if v > table.get(k, k + 1)]
+    cert = CERTIFICATES["pathwidth"]
+    rep = gap_report(cert.kind, cert.collection, tree_corpus(9))
+    over = [(k, v) for k, v in rep.envelope_by_parameter if v > cert.gap(k)]
     checks.append(_check("pathwidth-tabulated-gap-envelope",
                          not over, f"{len(rep.rows)} trees; envelope "
                          f"{dict(rep.envelope_by_parameter)}"))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -333,13 +334,12 @@ def test_poset_chains_do_not_depend_on_the_hash_seed(files):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("script", ["gap_survey.py", "make_fixtures.py",
-                                    "obstruction_report.py", "omnivore_walk.py"])
+@pytest.mark.parametrize("script", sorted(
+    p.name for p in (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")))
 def test_scripts_run_from_a_plain_checkout(script, tmp_path):
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "scripts" / script
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -6,6 +6,7 @@ from obskit.multigraph import (
     are_isomorphic,
     canonical_form,
     copies,
+    enumerate_graphs,
     format_graph_text,
 )
 from obskit.families import (
@@ -179,6 +180,21 @@ def test_omnivore_chain_matches_fixture():
         assert is_forest(g)
     for a, b in zip(chain, chain[1:]):
         assert contains(Relation.MINOR, a, b)
+
+
+def test_omnivore_steps_match_their_definition():
+    spec = CLASS_SPECS["outerplanar"]
+    members = [g for g in enumerate_graphs(6, 1) if spec.member(g)]
+    prev = None
+    for k in range(1, 5):
+        # the enumeration-least member above prev and every member on <= k vertices
+        want = next(c for c in members
+                    if (prev is None or contains(spec.relation, prev, c))
+                    and all(contains(spec.relation, t, c)
+                            for t in members if t.n <= k))
+        got = omnivore_step(spec, k, prev, n_budget=6)
+        assert canonical_form(got) == canonical_form(want)
+        prev = got
 
 
 def test_omnivore_steps_are_memoized():

@@ -17,7 +17,6 @@ from obskit.multigraph import (
     delete_vertex,
     disjoint_union,
     enum_key,
-    enumerate_closed,
     enumerate_graphs,
     format_graph_set,
     format_graph_text,
@@ -30,6 +29,7 @@ from obskit.multigraph import (
     to_graph6,
     tree_code,
     _canonical_bytes,
+    _grow_closed,
     _layer,
     _mult_matrix,
     _stable_colors,
@@ -317,9 +317,33 @@ def test_enumeration_count_six_vertices_multiplicity_two():
     (6, 1, is_forest),
     (5, 2, lambda g: max(g.edge_degrees, default=0) <= 3),
 ])
-def test_enumerate_closed_matches_filtered_enumeration(n_max, mult_max, member):
-    assert (list(enumerate_closed(n_max, mult_max, member))
+def test_grower_members_match_filtered_enumeration(n_max, mult_max, member):
+    layers = list(_grow_closed(member, n_max, mult_max))
+    assert ([g for inside, _ in layers for g in inside]
             == list(enumerate_graphs(n_max, mult_max, predicate=member)))
+
+    def top_deletions(g):
+        value = [(g.edge_degrees[v], g.degrees[v]) for v in range(g.n)]
+        return [delete_vertex(g, v) for v in range(g.n) if value[v] == max(value)]
+
+    # the non-members are those left by extending members: some deletion of
+    # a vertex of largest (edge degree, distinct neighbours) is a member
+    assert [g for _, outside in layers for g in outside] == [
+        g for g in enumerate_graphs(n_max, mult_max)
+        if not member(g) and (g.n == 0 or any(map(member, top_deletions(g))))]
+
+
+def test_grower_asks_the_predicate_once_per_class():
+    asked = []
+
+    def member(g):
+        asked.append(canonical_form(g))
+        return is_forest(g)
+
+    yielded = [canonical_form(g) for inside, outside in _grow_closed(member, 6, 1)
+               for g in inside + outside]
+    assert len(set(yielded)) == len(yielded)
+    assert sorted(asked) == sorted(yielded)
 
 
 def test_layers_are_memoized():
