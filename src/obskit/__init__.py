@@ -4,7 +4,6 @@ obstruction sets, and the universal-sequence machinery built on them."""
 from .multigraph import (
     MultiGraph,
     K0,
-    EnumBudget,
     BudgetExceededError,
     GraphFormatError,
     canonical_form,
@@ -16,7 +15,6 @@ from .multigraph import (
 __all__ = [
     "MultiGraph",
     "K0",
-    "EnumBudget",
     "BudgetExceededError",
     "GraphFormatError",
     "canonical_form",

@@ -22,11 +22,9 @@ from .parameters import parse_kind, parameter_value, z_apex, z_apex_kind
 from .poset import (chain_partition, parse_poset_text, poset_width,
                     rado_star_antichain_witness, rado_truncation)
 from .relations import Mode, Relation, contains, default_mode, parse_relation
-from .universal import (CERTIFICATES, COLLECTIONS, approximate, gap_report,
-                        p_of_collection, parse_collection_spec,
-                        theta_star_corpus, tree_corpus)
+from .universal import (CERTIFICATES, COLLECTIONS, CORPORA, approximate,
+                        gap_report, p_of_collection, parse_collection_spec)
 from .verify import SUITES, verify_suite
-from .multigraph import enumerate_graphs
 
 USAGE_EXIT = 64
 INTERNAL_EXIT = 70
@@ -189,15 +187,15 @@ def cmd_universal(args) -> int:
         return 0
     # gap
     cert = _load_certificate(args.certificate)
-    corpus = _corpus_for(args.corpus or _DEFAULT_CORPUS[args.certificate])
-    rep = gap_report(cert.kind, cert.collection, corpus)
+    corpus = args.corpus or cert.corpus
+    rep = gap_report(cert.kind, cert.collection, _load_corpus(corpus))
     rows = [(r.graph.n, r.graph.total_units, r.parameter, r.collection)
             for r in rep.rows]
     payload = {
         "certificate": args.certificate,
         "kind": cert.kind.tag,
         "collection": rep.collection,
-        "corpus": args.corpus or _DEFAULT_CORPUS[args.certificate],
+        "corpus": corpus,
         "rows": [{"vertices": a, "edge_units": b, "parameter": p,
                   "collection_value": c} for a, b, p, c in rows],
         "envelope_by_parameter": dict(rep.envelope_by_parameter),
@@ -209,24 +207,10 @@ def cmd_universal(args) -> int:
     return 0
 
 
-_DEFAULT_CORPUS = {
-    "treewidth": "simple7",
-    "pathwidth": "trees9",
-    "edge_degree": "theta_star",
-}
-
-
-def _corpus_for(name: str):
-    if name == "theta_star":
-        return theta_star_corpus()
-    if name == "trees9":
-        return tree_corpus(9)
-    if name == "simple7":
-        return list(enumerate_graphs(7, 1))
-    if name == "simple6":
-        return list(enumerate_graphs(6, 1))
-    raise ValueError(f"unknown corpus {name!r}; choose from "
-                     "theta_star, trees9, simple6, simple7")
+def _load_corpus(name):
+    if name not in CORPORA:
+        raise ValueError(f"unknown corpus {name!r}; choose from {', '.join(CORPORA)}")
+    return CORPORA[name]()
 
 
 def _load_collection(args):

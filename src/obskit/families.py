@@ -30,10 +30,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .multigraph import (
-    DEFAULT_ENUM_BUDGET,
+    MAX_MULTIPLICITY,
     BudgetExceededError,
     MultiGraph,
     _grow_closed,
+    _vertex_cap,
     format_graph_text,
     parse_graph_text,
 )
@@ -394,10 +395,9 @@ class ClassSpec:
     mult_cap: int = 2
 
     def __post_init__(self):
-        top = DEFAULT_ENUM_BUDGET.max_multiplicity
-        if not 1 <= self.mult_cap <= top:
+        if not 1 <= self.mult_cap <= MAX_MULTIPLICITY:
             raise ValueError(f"mult_cap {self.mult_cap!r}: the cap must be an "
-                             f"integer in 1..{top}")
+                             f"integer in 1..{MAX_MULTIPLICITY}")
         if not is_antichain(self.relation, self.obstructions):
             raise ValueError("obstruction list must be an antichain")
 
@@ -434,10 +434,9 @@ def parse_class_spec(text: str) -> ClassSpec:
             mode = Mode(parts[1])
             if len(parts) == 3:
                 cap = int(parts[2]) if parts[2].isdecimal() else 0
-                top = DEFAULT_ENUM_BUDGET.max_multiplicity
-                if not 1 <= cap <= top:
-                    raise ValueError(f"bad class header line: {raw!r}; the "
-                                     f"cap must be an integer in 1..{top}")
+                if not 1 <= cap <= MAX_MULTIPLICITY:
+                    raise ValueError(f"bad class header line: {raw!r}; the cap "
+                                     f"must be an integer in 1..{MAX_MULTIPLICITY}")
         else:
             raise ValueError(f"bad class header line: {raw!r}")
     if relation is None:
@@ -465,8 +464,7 @@ def omnivore_step(spec: ClassSpec, k: int, prev: MultiGraph | None = None,
         raise ValueError("omnivore index starts at 1")
     mult_cap = 1 if spec.mode is Mode.SIMPLE else spec.mult_cap
     if n_budget is None:
-        n_budget = (DEFAULT_ENUM_BUDGET.max_simple_vertices
-                    if mult_cap == 1 else DEFAULT_ENUM_BUDGET.max_multi_vertices)
+        n_budget = _vertex_cap(mult_cap)
     if k > n_budget:
         raise BudgetExceededError(
             "coverage level exceeds the enumeration budget",

@@ -40,16 +40,10 @@ class BudgetExceededError(RuntimeError):
         self.detail = detail or {}
 
 
-@dataclass(frozen=True)
-class EnumBudget:
-    """Size caps for exhaustive enumeration."""
-
-    max_simple_vertices: int = 8
-    max_multi_vertices: int = 6
-    max_multiplicity: int = 8
-
-
-DEFAULT_ENUM_BUDGET = EnumBudget()
+#: size caps for exhaustive enumeration
+MAX_SIMPLE_VERTICES = 8
+MAX_MULTI_VERTICES = 6
+MAX_MULTIPLICITY = 8
 
 
 @dataclass(frozen=True)
@@ -531,13 +525,19 @@ def enum_key(g: MultiGraph) -> tuple[int, int, bytes]:
 
 # -- exhaustive enumeration ------------------------------------------------
 
-def _check_enum_budget(n_max: int, mult_max: int, budget: EnumBudget):
+def _vertex_cap(mult_max: int) -> int:
+    return MAX_SIMPLE_VERTICES if mult_max == 1 else MAX_MULTI_VERTICES
+
+
+def _check_enum_budget(n_max: int, mult_max: int):
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if mult_max < 1:
         raise ValueError("mult_max must be >= 1")
-    if mult_max > budget.max_multiplicity:
+    if mult_max > MAX_MULTIPLICITY:
         raise BudgetExceededError("multiplicity cap exceeded",
-                                  {"mult_max": mult_max, "allowed": budget.max_multiplicity})
-    cap = budget.max_simple_vertices if mult_max == 1 else budget.max_multi_vertices
+                                  {"mult_max": mult_max, "allowed": MAX_MULTIPLICITY})
+    cap = _vertex_cap(mult_max)
     if n_max > cap:
         raise BudgetExceededError(
             f"enumeration to {n_max} vertices at mult_max={mult_max} exceeds the budget",
@@ -583,8 +583,8 @@ def _layer(n: int, mult_max: int) -> tuple[MultiGraph, ...]:
 
 
 def enumerate_graphs(n_max: int, mult_max: int = 1,
-                     predicate: Callable[[MultiGraph], bool] | None = None,
-                     budget: EnumBudget = DEFAULT_ENUM_BUDGET) -> Iterator[MultiGraph]:
+                     predicate: Callable[[MultiGraph], bool] | None = None
+                     ) -> Iterator[MultiGraph]:
     """One canonically labelled representative per isomorphism class, in
     enumeration order.
 
@@ -592,9 +592,7 @@ def enumerate_graphs(n_max: int, mult_max: int = 1,
     most mult_max.  `predicate` filters the output only; generation itself is
     exhaustive.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    _check_enum_budget(n_max, mult_max, budget)
+    _check_enum_budget(n_max, mult_max)
     for n in range(n_max + 1):
         for g in _layer(n, mult_max):
             if predicate is None or predicate(g):

@@ -42,7 +42,6 @@ from importlib import resources
 import networkx as nx
 
 from .multigraph import (
-    DEFAULT_ENUM_BUDGET,
     MultiGraph,
     _check_enum_budget,
     _forest,
@@ -54,6 +53,13 @@ from .multigraph import (
 from .parameters import ParameterKind, parameter_at_most
 from .relations import (Mode, Relation, _single_steps, contains, is_antichain,
                         parse_relation)
+
+#: members whose reductions are re-checked, and random labelled graphs
+#: searched for unreached members, per scan; both draws are seeded
+_CLOSURE_SAMPLES = 100
+_CLOSURE_SEED = 0
+#: family indices past the base tried by `universal_sample_check`
+_INDEX_CAP = 8
 
 
 class NonClosedPredicateError(ValueError):
@@ -88,8 +94,7 @@ class ObstructionReport:
 
 
 def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
-                         class_desc=None, closure_samples=100,
-                         rng_seed=0) -> ObstructionReport:
+                         class_desc=None) -> ObstructionReport:
     """All step-minimal predicate violators with at most n_max vertices,
     canonically labelled and in enumeration order.
 
@@ -104,9 +109,7 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
     relation = parse_relation(relation)
     mode = Mode.SIMPLE if mult_max == 1 else Mode.MULTI
     desc = class_desc or getattr(predicate, "__name__", "predicate")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    _check_enum_budget(n_max, mult_max, DEFAULT_ENUM_BUDGET)
+    _check_enum_budget(n_max, mult_max)
 
     members = []
     found = []
@@ -115,15 +118,14 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
         found += [g for g in outside
                   if all(predicate(r) for r in _single_steps(g, relation, mode))]
 
-    rng = random.Random(rng_seed)
-    sample = (members if len(members) <= closure_samples
-              else rng.sample(members, closure_samples))
+    rng = random.Random(_CLOSURE_SEED)
+    sample = (members if len(members) <= _CLOSURE_SAMPLES
+              else rng.sample(members, _CLOSURE_SAMPLES))
     for m in sample:
         for r in _single_steps(m, relation, mode):
             if not predicate(r):
                 raise NonClosedPredicateError(m, r, relation)
-    _check_unreached_members(predicate, members, n_max, mult_max, relation,
-                             closure_samples, rng_seed)
+    _check_unreached_members(predicate, members, n_max, mult_max, relation)
 
     if not is_antichain(relation, found, mode=mode):
         raise AssertionError(
@@ -136,8 +138,7 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
              "larger obstructions are invisible at this bound")
 
 
-def _check_unreached_members(predicate, members, n_max, mult_max, relation,
-                             samples, rng_seed):
+def _check_unreached_members(predicate, members, n_max, mult_max, relation):
     """Raise if a random labelled graph is a member the grown layers missed.
 
     Such a member has a vertex deletion outside the class: deleting a
@@ -146,8 +147,8 @@ def _check_unreached_members(predicate, members, n_max, mult_max, relation,
     meets a non-member before it runs out of vertices.
     """
     reached = {canonical_form(m) for m in members}
-    draw = random.Random(rng_seed)
-    for _ in range(samples):
+    draw = random.Random(_CLOSURE_SEED)
+    for _ in range(_CLOSURE_SAMPLES):
         n = draw.randint(0, n_max)
         g = MultiGraph(n, tuple(
             (u, v, m) for u, v in itertools.combinations(range(n), 2)
@@ -233,10 +234,12 @@ BUILTIN_CLASSES = {
 
 # -- obstruction sets of parameter level classes --------------------------------
 
-def _kind_bounds(kind: ParameterKind, length: int):
-    if kind.monotone_relation is Relation.MINOR:
-        return 7, 1
-    return 4, length + 1
+def _kind_bounds(kind: ParameterKind, length: int, n_max, mult_max):
+    """(n_max, mult_max), each None replaced by the kind's default bound."""
+    default_n, default_m = ((7, 1) if kind.monotone_relation is Relation.MINOR
+                            else (4, length + 1))
+    return (default_n if n_max is None else n_max,
+            default_m if mult_max is None else mult_max)
 
 
 @functools.lru_cache(maxsize=128)
@@ -256,16 +259,17 @@ class ObstructionChain:
     mult_max: int
 
     def verify(self) -> bool:
-        mode = Mode.SIMPLE if self.mult_max == 1 else Mode.MULTI
-        for level, g in zip(self.levels, self.graphs):
+        for i, (level, g) in enumerate(zip(self.levels, self.graphs)):
             if parameter_at_most(self.kind, level, g):
                 return False
             rep = obstructions_for_kind(self.kind, self.relation, level,
                                         self.n_max, self.mult_max)
             if canonical_form(g) not in {canonical_form(o) for o in rep}:
                 return False
-        return all(contains(self.relation, a, b, mode=mode)
-                   for a, b in zip(self.graphs, self.graphs[1:]))
+            if i and not contains(self.relation, self.graphs[i - 1], g,
+                                  mode=rep.mode):
+                return False
+        return True
 
 
 def obstruction_chain(kind: ParameterKind, relation, length, *,
@@ -276,10 +280,7 @@ def obstruction_chain(kind: ParameterKind, relation, length, *,
     lexicographically least chain inside the universe bound.
     """
     relation = parse_relation(relation)
-    default_n, default_m = _kind_bounds(kind, length)
-    n_max = default_n if n_max is None else n_max
-    mult_max = default_m if mult_max is None else mult_max
-    mode = Mode.SIMPLE if mult_max == 1 else Mode.MULTI
+    n_max, mult_max = _kind_bounds(kind, length, n_max, mult_max)
     reports = [obstructions_for_kind(kind, relation, lvl, n_max, mult_max)
                for lvl in range(1, length + 1)]
 
@@ -288,7 +289,8 @@ def obstruction_chain(kind: ParameterKind, relation, length, *,
         if lvl == length:
             return prefix
         for cand in reports[lvl].obstructions:
-            if prefix and not contains(relation, prefix[-1], cand, mode=mode):
+            if prefix and not contains(relation, prefix[-1], cand,
+                                       mode=reports[lvl].mode):
                 continue
             full = extend(prefix + [cand])
             if full is not None:
@@ -330,8 +332,7 @@ class SampleCheckReport:
 
 
 def universal_sample_check(kind: ParameterKind, relation, families, k_max, *,
-                           n_max=None, mult_max=None,
-                           index_cap=8) -> SampleCheckReport:
+                           n_max=None, mult_max=None) -> SampleCheckReport:
     """For each level k, embed one obstruction into a family member.
 
     Takes the enumeration-least obstruction of the level-k class and reports
@@ -339,9 +340,7 @@ def universal_sample_check(kind: ParameterKind, relation, families, k_max, *,
     all (no tree contains a triangle); that outcome is recorded, not fatal.
     """
     relation = parse_relation(relation)
-    default_n, default_m = _kind_bounds(kind, k_max)
-    n_max = default_n if n_max is None else n_max
-    mult_max = default_m if mult_max is None else mult_max
+    n_max, mult_max = _kind_bounds(kind, k_max, n_max, mult_max)
     entries = []
     for level in range(1, k_max + 1):
         rep = obstructions_for_kind(kind, relation, level, n_max, mult_max)
@@ -352,7 +351,7 @@ def universal_sample_check(kind: ParameterKind, relation, families, k_max, *,
         target = rep.obstructions[0]
         best = None
         for fam in families:
-            for idx in range(fam.base_index, fam.base_index + index_cap + 1):
+            for idx in range(fam.base_index, fam.base_index + _INDEX_CAP + 1):
                 if best is not None and idx >= best[1]:
                     break
                 if contains(relation, target, fam.member(idx), max_host=512):

@@ -65,6 +65,9 @@ from .multigraph import (
 
 DEFAULT_MAX_PATTERN = 8
 DEFAULT_MAX_HOST = 16
+#: state cap of the lifting walks of `immersion_reachable_set` and
+#: `immersion_by_liftings`
+_ORACLE_MAX_STATES = 500000
 
 
 class Relation(str, Enum):
@@ -655,7 +658,7 @@ def verify_minor_model(h: MultiGraph, g: MultiGraph, branch_sets,
 
 # -- an independent immersion decision, for cross-checks ---------------------
 
-def immersion_reachable_set(g: MultiGraph, max_states: int = 500000) -> frozenset[bytes]:
+def immersion_reachable_set(g: MultiGraph) -> frozenset[bytes]:
     """Canonical forms of everything reachable from g by vertex deletions,
     edge unit deletions, and lifts.
 
@@ -664,16 +667,15 @@ def immersion_reachable_set(g: MultiGraph, max_states: int = 500000) -> frozense
     the path search.  Intended for tiny graphs.
     """
     return frozenset(_walk(g, Relation.IMMERSION, Mode.MULTI, (0, 0),
-                           _Deadline(None), max_states=max_states))
+                           _Deadline(None), max_states=_ORACLE_MAX_STATES))
 
 
-def immersion_by_liftings(g: MultiGraph, h: MultiGraph,
-                          max_states: int = 500000) -> bool:
+def immersion_by_liftings(g: MultiGraph, h: MultiGraph) -> bool:
     """Immersion containment decided by the lifting walk alone."""
     target = canonical_form(h)
     return any(c == target for c in
                _walk(g, Relation.IMMERSION, Mode.MULTI, (h.n, h.total_units),
-                     _Deadline(None), max_states=max_states))
+                     _Deadline(None), max_states=_ORACLE_MAX_STATES))
 
 
 def subgraph_map_as_model(image) -> tuple[frozenset[int], ...]:

@@ -240,6 +240,7 @@ class CertifiedTriple:
     gap: GapFunction
     sides: frozenset          # subset of {"above", "at_most"}
     scope: str
+    corpus: str               # the CORPORA entry its gap was checked on
 
 
 # -- gap reports ------------------------------------------------------------------
@@ -301,18 +302,21 @@ CERTIFICATES = {
         TREEWIDTH, GRID_COLLECTION, linear_gap(1, 1),
         frozenset({"above"}),
         "above-side sound everywhere (grid value never undershoots "
-        "treewidth by more than one); the at-most side is not certified"),
+        "treewidth by more than one); the at-most side is not certified",
+        "simple7"),
     "edge_degree": CertifiedTriple(
         EDGE_DEGREE, DEGREE_COLLECTION, linear_gap(1, 1),
         frozenset({"above", "at_most"}),
         "both sides sound on the theta/star corpus where the collection "
-        "value exceeds the edge degree by exactly one"),
+        "value exceeds the edge degree by exactly one",
+        "theta_star"),
     "pathwidth": CertifiedTriple(
         PATHWIDTH, TREE_COLLECTION,
         tabulated_gap({0: 1, 1: 2, 2: 2}),
         frozenset({"above", "at_most"}),
         "empirical, corpus-valid only: gap measured on trees with at "
-        "most 9 vertices, linear tail beyond the table"),
+        "most 9 vertices, linear tail beyond the table",
+        "trees9"),
 }
 
 
@@ -344,6 +348,15 @@ def tree_corpus(n_max=9):
         for t in nx.nonisomorphic_trees(n):
             out.append(MultiGraph.build(n, list(t.edges())))
     return out
+
+
+#: corpus name -> builder; the `--corpus` choices of `universal gap`
+CORPORA = {
+    "theta_star": theta_star_corpus,
+    "trees9": lambda: tree_corpus(9),
+    "simple6": lambda: list(enumerate_graphs(6, 1)),
+    "simple7": lambda: list(enumerate_graphs(7, 1)),
+}
 
 
 # -- collection files ---------------------------------------------------------------

@@ -11,11 +11,9 @@ from .multigraph import canonical_form, enumerate_graphs
 from .obstructions import BUILTIN_CLASSES, compute_obstructions, fixture_graphs
 from .parameters import treewidth, treewidth_by_elimination
 from .relations import Relation, contains
-from .universal import (CERTIFICATES, COLLECTIONS, gap_report, mixed_corpus,
-                        p_of_collection, theta_star_corpus, tree_corpus)
+from .universal import (CERTIFICATES, COLLECTIONS, CORPORA, gap_report,
+                        mixed_corpus, p_of_collection)
 from .poset import rado_star_antichain_witness, rado_truncation, poset_width
-
-SUITES = ("section6", "invariants", "rado", "gaps")
 
 #: bounds at which each shipped obstruction fixture was computed
 FIXTURE_BOUNDS = {
@@ -142,19 +140,19 @@ def suite_gaps():
     checks = []
 
     cert = CERTIFICATES["edge_degree"]
-    rep = gap_report(cert.kind, cert.collection, theta_star_corpus())
+    rep = gap_report(cert.kind, cert.collection, CORPORA[cert.corpus]())
     off = [r for r in rep.rows if r.collection != cert.gap(r.parameter)]
     checks.append(_check("edge-degree-gap-exactly-1",
                          not off, f"{len(rep.rows)} rows"))
 
     cert = CERTIFICATES["treewidth"]
-    rep = gap_report(cert.kind, cert.collection, list(enumerate_graphs(7, 1)))
+    rep = gap_report(cert.kind, cert.collection, CORPORA[cert.corpus]())
     over = [r for r in rep.rows if r.collection > cert.gap(r.parameter)]
     checks.append(_check("grid-value-at-most-treewidth-plus-1",
                          not over, f"{len(rep.rows)} simple graphs to 7 vertices"))
 
     cert = CERTIFICATES["pathwidth"]
-    rep = gap_report(cert.kind, cert.collection, tree_corpus(9))
+    rep = gap_report(cert.kind, cert.collection, CORPORA[cert.corpus]())
     over = [(k, v) for k, v in rep.envelope_by_parameter if v > cert.gap(k)]
     checks.append(_check("pathwidth-tabulated-gap-envelope",
                          not over, f"{len(rep.rows)} trees; envelope "
@@ -162,17 +160,14 @@ def suite_gaps():
     return checks
 
 
+SUITES = {"section6": suite_section6, "invariants": suite_invariants,
+          "rado": suite_rado, "gaps": suite_gaps}
+
+
 def verify_suite(name: str):
-    if name == "section6":
-        checks = suite_section6()
-    elif name == "invariants":
-        checks = suite_invariants()
-    elif name == "rado":
-        checks = suite_rado()
-    elif name == "gaps":
-        checks = suite_gaps()
-    else:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    checks = SUITES[name]()
     return {"suite": name,
             "checks": checks,
             "passed": all(c["status"] == "PASS" for c in checks)}

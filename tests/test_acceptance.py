@@ -66,13 +66,12 @@ from obskit.relations import (
 from obskit.universal import (
     CERTIFICATES,
     COLLECTIONS,
+    CORPORA,
     GRID_COLLECTION,
     approximate,
     gap_report,
     mixed_corpus,
     p_of_collection,
-    theta_star_corpus,
-    tree_corpus,
 )
 
 K3, K4 = complete(3), complete(4)
@@ -253,18 +252,13 @@ def test_criterion_11_chain_partitions_match_width():
 
 
 def test_criterion_12_gap_reports_and_verdict_soundness():
-    rep = gap_report(EDGE_DEGREE, CERTIFICATES["edge_degree"].collection,
-                     theta_star_corpus())
+    cert = CERTIFICATES["edge_degree"]
+    rep = gap_report(EDGE_DEGREE, cert.collection, CORPORA[cert.corpus]())
     for row in rep.rows:
         assert row.collection - row.parameter == 1
 
-    corpora = {
-        "treewidth": list(enumerate_graphs(7, 1)),
-        "pathwidth": tree_corpus(9),
-        "edge_degree": theta_star_corpus(),
-    }
     for name, cert in CERTIFICATES.items():
-        for g in corpora[name]:
+        for g in CORPORA[cert.corpus]():
             exact = parameter_value(cert.kind, g)
             for k in range(0, 6):
                 verdict = approximate(cert.collection, cert.gap, g, k)

@@ -8,6 +8,7 @@ from obskit.cli import INTERNAL_EXIT, USAGE_EXIT, main
 from obskit.families import grid, star
 from obskit.multigraph import format_graph_text, from_graph6, to_graph6
 from obskit.poset import FinitePoset, format_poset_text, rado_truncation
+from obskit.universal import CERTIFICATES, CORPORA
 
 
 @pytest.fixture
@@ -225,6 +226,15 @@ def test_universal_gap_tsv(capsys):
     for row in rows:
         cells = row.split("\t")
         assert int(cells[ci]) - int(cells[pi]) == 1
+
+
+def test_universal_gap_defaults_to_the_certificate_corpus(capsys):
+    for name, cert in CERTIFICATES.items():
+        code, out, _ = run(capsys, "universal", "gap", "--certificate", name)
+        assert code == 0
+        data = json.loads(out)
+        assert data["corpus"] == cert.corpus
+        assert len(data["rows"]) == len(CORPORA[cert.corpus]())
 
 
 def test_poset_rado_combined(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from obskit.multigraph import (
-    DEFAULT_ENUM_BUDGET,
+    MAX_MULTIPLICITY,
     MultiGraph,
     are_isomorphic,
     canonical_form,
@@ -143,7 +143,7 @@ def test_class_spec_rejects_bad_mode_lines(header):
 
 def test_class_spec_multiplicity_cap_range():
     text = "relation minor\nmode multi {}\n\n" + format_graph_text(complete(3))
-    top = DEFAULT_ENUM_BUDGET.max_multiplicity
+    top = MAX_MULTIPLICITY
     assert parse_class_spec(text.format(1)).mult_cap == 1
     assert parse_class_spec(text.format(top)).mult_cap == top
     with pytest.raises(ValueError, match=f"integer in 1..{top}"):
@@ -151,7 +151,7 @@ def test_class_spec_multiplicity_cap_range():
 
 
 def test_class_spec_checks_its_multiplicity_cap():
-    top = DEFAULT_ENUM_BUDGET.max_multiplicity
+    top = MAX_MULTIPLICITY
     for cap in (0, top + 1):
         with pytest.raises(ValueError, match=f"integer in 1..{top}"):
             ClassSpec(Relation.MINOR, (complete(3),), Mode.MULTI, mult_cap=cap)

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from obskit.multigraph import (
     K0,
+    MAX_MULTIPLICITY,
     BudgetExceededError,
-    EnumBudget,
     MultiGraph,
     are_isomorphic,
     canonical_form,
@@ -359,12 +359,17 @@ def test_enumeration_respects_predicate():
 
 
 def test_enumeration_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_graphs(9, 1))
-    tight = EnumBudget(max_simple_vertices=3)
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_graphs(4, 1, budget=tight))
-    assert len(list(enumerate_graphs(4, 1, budget=EnumBudget(max_simple_vertices=4)))) == 19
+    for n_max, mult_max, allowed in ((9, 1, 8), (7, 2, 6)):
+        with pytest.raises(BudgetExceededError) as exc:
+            list(enumerate_graphs(n_max, mult_max))
+        assert exc.value.detail["allowed"] == allowed
+    with pytest.raises(BudgetExceededError) as exc:
+        list(enumerate_graphs(1, MAX_MULTIPLICITY + 1))
+    assert exc.value.detail["allowed"] == MAX_MULTIPLICITY == 8
+    with pytest.raises(ValueError, match="mult_max must be >= 1"):
+        list(enumerate_graphs(3, 0))
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        list(enumerate_graphs(-1, 0))
 
 
 # -- serialization -----------------------------------------------------------

@@ -23,6 +23,7 @@ from obskit.universal import (
     BLOCK_COLLECTION,
     CERTIFICATES,
     COLLECTIONS,
+    CORPORA,
     DEGREE_COLLECTION,
     GRID_COLLECTION,
     TREE_COLLECTION,
@@ -213,6 +214,13 @@ def test_certificates_declare_their_sides():
     assert CERTIFICATES["pathwidth"].sides == frozenset({"above", "at_most"})
     for cert in CERTIFICATES.values():
         assert cert.scope
+
+
+def test_certificates_name_their_corpora():
+    assert list(CORPORA) == ["theta_star", "trees9", "simple6", "simple7"]
+    assert {name: cert.corpus for name, cert in CERTIFICATES.items()} == {
+        "treewidth": "simple7", "edge_degree": "theta_star",
+        "pathwidth": "trees9"}
 
 
 # -- gap reports -------------------------------------------------------------------
