@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .families import family_by_name
+from .families import GRID_FAMILY, family_by_name
 from .multigraph import (BudgetExceededError, MultiGraph, format_graph_text,
                          from_graph6, parse_graph_text)
 from .obstructions import BUILTIN_CLASSES, compute_obstructions
@@ -33,7 +33,7 @@ CONVENTIONS = {
     **{f"{rel.value}_default_mode": default_mode(rel).value for rel in Relation},
     "cutwidth_counts_multiplicities": True,
     "bi_pathwidth_block_rule": "max",
-    "grid_base_index": 2,
+    "grid_base_index": GRID_FAMILY.base_index,
     "enumeration_order": "vertices, edge units, canonical form",
 }
 

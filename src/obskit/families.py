@@ -398,7 +398,7 @@ class ClassSpec:
         if not 1 <= self.mult_cap <= MAX_MULTIPLICITY:
             raise ValueError(f"mult_cap {self.mult_cap!r}: the cap must be an "
                              f"integer in 1..{MAX_MULTIPLICITY}")
-        if not is_antichain(self.relation, self.obstructions):
+        if not is_antichain(self.relation, self.obstructions, mode=self.mode):
             raise ValueError("obstruction list must be an antichain")
 
     def member(self, g: MultiGraph) -> bool:

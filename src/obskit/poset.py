@@ -234,7 +234,7 @@ def chain_partition(p: FinitePoset) -> list[list]:
 # -- graph sequence prefixes --------------------------------------------------------
 
 
-def _prefix_poset(prefix, relation, **caps):
+def _prefix_poset(prefix, relation):
     """Quotient a prefix by mutual containment, then build its poset.
 
     Literal repeats are collapsed up front; the remaining merging falls out
@@ -254,7 +254,7 @@ def _prefix_poset(prefix, relation, **caps):
             reps.append(g)
             last_pos.append(pos)
     n = len(reps)
-    raw = [[i == j or contains(relation, reps[i], reps[j], **caps)
+    raw = [[i == j or contains(relation, reps[i], reps[j])
             for j in range(n)] for i in range(n)]
     keep = [i for i in range(n)
             if not any(raw[i][j] and raw[j][i] for j in range(i))]
@@ -269,11 +269,11 @@ def _prefix_poset(prefix, relation, **caps):
     return poset, reps, last_pos
 
 
-def sequence_width(prefix, relation, **caps) -> int:
+def sequence_width(prefix, relation) -> int:
     """Width of the prefix under the relation, after the equivalence quotient."""
     if not prefix:
         return 0
-    poset, _, _ = _prefix_poset(prefix, relation, **caps)
+    poset, _, _ = _prefix_poset(prefix, relation)
     return poset_width(poset)
 
 
@@ -290,14 +290,14 @@ class RationalizeResult:
     candidates: tuple[RationalizedChain, ...]
 
 
-def rationalize(prefix, relation, **caps) -> RationalizeResult:
+def rationalize(prefix, relation) -> RationalizeResult:
     """Split a prefix into width-many chains and flag the growing ones.
 
     A chain counts as growing when its top element was last seen in the
     final quarter of the prefix; that is a reported heuristic standing in
     for which chains would keep growing, not a verified property.
     """
-    poset, reps, last_pos = _prefix_poset(prefix, relation, **caps)
+    poset, reps, last_pos = _prefix_poset(prefix, relation)
     cutoff = len(prefix) - max(1, -(-len(prefix) // 4))
     parts = chain_partition(poset)
     sizes = Counter((reps[c[0]].n, reps[c[0]].total_units) for c in parts)

@@ -547,44 +547,44 @@ def dedup_graphs(graphs) -> list[MultiGraph]:
     return sorted(by_form.values(), key=enum_key)
 
 
-def min_elements(rel: Relation | str, s, **limits) -> list[MultiGraph]:
+def min_elements(rel: Relation | str, s) -> list[MultiGraph]:
     """The minimal members of s under the relation, as an antichain."""
     members = dedup_graphs(s)
     out = []
     for i, m in enumerate(members):
-        if any(i != j and contains(rel, x, m, **limits)
+        if any(i != j and contains(rel, x, m)
                for j, x in enumerate(members)):
             continue
         out.append(m)
     return out
 
 
-def set_dominates(rel: Relation | str, a, b, **limits) -> bool:
+def set_dominates(rel: Relation | str, a, b) -> bool:
     """Every member of b contains some member of a (vacuously true for empty b)."""
     a = list(a)
-    return all(any(contains(rel, x, y, **limits) for x in a) for y in b)
+    return all(any(contains(rel, x, y) for x in a) for y in b)
 
 
-def down_closure_within(rel: Relation | str, seeds, universe, **limits) -> list[MultiGraph]:
+def down_closure_within(rel: Relation | str, seeds, universe) -> list[MultiGraph]:
     """Members of the universe lying below some seed."""
     seeds = list(seeds)
     return [g for g in dedup_graphs(universe)
-            if any(contains(rel, g, s, **limits) for s in seeds)]
+            if any(contains(rel, g, s) for s in seeds)]
 
 
-def up_closure_within(rel: Relation | str, seeds, universe, **limits) -> list[MultiGraph]:
+def up_closure_within(rel: Relation | str, seeds, universe) -> list[MultiGraph]:
     """Members of the universe lying above some seed."""
     seeds = list(seeds)
     return [g for g in dedup_graphs(universe)
-            if any(contains(rel, s, g, **limits) for s in seeds)]
+            if any(contains(rel, s, g) for s in seeds)]
 
 
-def is_antichain(rel: Relation | str, graphs, **limits) -> bool:
+def is_antichain(rel: Relation | str, graphs, *, mode: Mode | str | None = None) -> bool:
     """No member contains another (isomorphic repeats also fail)."""
     gs = list(graphs)
     for i, a in enumerate(gs):
         for j, b in enumerate(gs):
-            if i != j and contains(rel, a, b, **limits):
+            if i != j and contains(rel, a, b, mode=mode):
                 return False
     return True
 

@@ -12,6 +12,10 @@ no smaller members to witness intermediate levels).
 For a collection the value is computed twice, by the max-over-families
 formula and by the joint ascending scan, and the two results are asserted
 equal on every call.  A mismatch is an implementation bug, never data.
+Both formulas read one memo per family, so each member meets g at most once.
+
+A gap function bounds the parameter and the collection value against each
+other: table[k] where tabulated, else a*k**c + b.
 """
 from __future__ import annotations
 
@@ -22,7 +26,8 @@ from .families import (GRID_FAMILY, STAR_FAMILY, TERNARY_TREE_APEX_DUAL_FAMILY,
                        TERNARY_TREE_APEX_FAMILY, TERNARY_TREE_FAMILY, THETA_FAMILY,
                        ParametricFamily, family_by_name, growth_size)
 from .multigraph import MultiGraph, enum_key, enumerate_graphs
-from .parameters import ParameterKind, parameter_value
+from .parameters import (EDGE_DEGREE, PATHWIDTH, TREEWIDTH, ParameterKind,
+                         parameter_value)
 from .relations import Mode, Relation, contains, default_mode, parse_relation
 
 # generous caps: scans are already bounded by the size-growth rule, these
@@ -58,23 +63,18 @@ class PrimeCollection:
         return min(f.base_index for f in self.families)
 
 
-def _scan_contained(fam: ParametricFamily, relation, g, cache):
-    """cache[k] = is fam.member(k) contained in g; sizes must grow with k."""
-
-    def check(k: int) -> bool:
-        if k not in cache:
-            m = fam.member(k)
-            prev = cache.get(("size", k - 1))
-            size = growth_size(m)
-            if prev is not None and size <= prev:
-                raise ValueError(
-                    f"family {fam.name} does not grow strictly at index {k}")
-            cache[("size", k)] = size
-            cache[k] = contains(relation, m, g, max_pattern=_MAX_PATTERN,
-                                max_host=_MAX_HOST)
-        return cache[k]
-
-    return check
+def _contained(fam: ParametricFamily, relation, g, seen: dict, k: int) -> bool:
+    """Is fam.member(k) contained in g?  seen[k] memoises (growth size,
+    answer) per index, and sizes must grow strictly with k."""
+    if k not in seen:
+        m = fam.member(k)
+        size = growth_size(m)
+        if k - 1 in seen and size <= seen[k - 1][0]:
+            raise ValueError(
+                f"family {fam.name} does not grow strictly at index {k}")
+        seen[k] = (size, contains(relation, m, g, max_pattern=_MAX_PATTERN,
+                                  max_host=_MAX_HOST))
+    return seen[k][1]
 
 
 def p_of_sequence(fam: ParametricFamily, g: MultiGraph) -> int:
@@ -84,30 +84,22 @@ def p_of_sequence(fam: ParametricFamily, g: MultiGraph) -> int:
 
 def p_of_collection(coll: PrimeCollection, g: MultiGraph) -> int:
     """Collection value computed by both formulas; equality is asserted."""
-    caches = {fam.name: {} for fam in coll.families}
+    seen = {fam.name: {} for fam in coll.families}
 
     by_max = 1
     for fam in coll.families:
-        contained = _scan_contained(fam, coll.relation, g, caches[fam.name])
         k = fam.base_index
-        if not contained(k):
-            val = max(k - 1, 1)
-        else:
-            while contained(k):
-                k += 1
-            val = k
-        by_max = max(by_max, val)
+        while _contained(fam, coll.relation, g, seen[fam.name], k):
+            k += 1
+        by_max = max(by_max, k if k > fam.base_index else max(k - 1, 1))
 
-    def eff_contained(fam, k):
-        # levels below base - 1 have no member to witness them and count as
-        # reached, matching the max-form clamp at max(base - 1, 1)
-        if k < fam.base_index - 1:
-            return True
-        check = _scan_contained(fam, coll.relation, g, caches[fam.name])
-        return check(max(k, fam.base_index))
-
+    # levels below base - 1 have no member to witness them and count as
+    # reached, matching the max-form clamp at max(base - 1, 1)
     by_min = 1
-    while any(eff_contained(fam, by_min) for fam in coll.families):
+    while any(by_min < fam.base_index - 1
+              or _contained(fam, coll.relation, g, seen[fam.name],
+                            max(by_min, fam.base_index))
+              for fam in coll.families):
         by_min += 1
 
     if by_max != by_min:
@@ -145,64 +137,44 @@ def p_of_prefix(relation, graphs, g, *, base_index=1, mode=None):
 
 @dataclass(frozen=True)
 class GapFunction:
-    """A monotone bound map given in closed form.
+    """A monotone bound map: table[k] where tabulated, else a*k**c + b.
 
-    form is one of identity, linear (a*k + b), polynomial (k**c) or
-    tabulated (explicit small table with a linear tail).
+    Construction requires a >= 0, c >= 1 and nondecreasing values over
+    0..(largest table key + 1); past that the closed form never falls.
     """
 
-    form: str
     a: int = 1
     b: int = 0
     c: int = 1
     table: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.form not in ("identity", "linear", "polynomial", "tabulated"):
-            raise ValueError(f"unknown gap form {self.form!r}")
-        if self.form == "linear" and self.a < 0:
-            raise ValueError("linear gap needs a >= 0")
-        if self.form == "polynomial" and self.c < 1:
-            raise ValueError("polynomial gap needs c >= 1")
-        if self.form == "tabulated":
-            items = sorted(self.table)
-            object.__setattr__(self, "table", tuple(items))
-            values = [v for _, v in items]
-            if values != sorted(values):
-                raise ValueError("tabulated gap must be nondecreasing")
-            if items and self.a >= 0:
-                last_k, last_v = items[-1]
-                if self.a * (last_k + 1) + self.b < last_v:
-                    raise ValueError("tail drops below the table")
+        if self.a < 0 or self.c < 1:
+            raise ValueError(
+                f"gap needs a >= 0 and c >= 1, not a={self.a}, c={self.c}")
+        object.__setattr__(self, "table", tuple(sorted(self.table)))
+        values = [self(k) for k in range(max(dict(self.table), default=-1) + 2)]
+        if values != sorted(values):
+            raise ValueError(f"gap values {values} are not nondecreasing")
 
     def __call__(self, k: int) -> int:
-        if self.form == "identity":
-            return k
-        if self.form == "linear":
-            return self.a * k + self.b
-        if self.form == "polynomial":
-            return k ** self.c
-        for key, val in self.table:
-            if key == k:
-                return val
-        return self.a * k + self.b
+        return dict(self.table).get(k, self.a * k ** self.c + self.b)
 
 
 def identity_gap() -> GapFunction:
-    return GapFunction("identity")
+    return GapFunction()
 
 
 def linear_gap(a: int, b: int) -> GapFunction:
-    return GapFunction("linear", a=a, b=b)
+    return GapFunction(a=a, b=b)
 
 
 def polynomial_gap(c: int) -> GapFunction:
-    return GapFunction("polynomial", c=c)
+    return GapFunction(c=c)
 
 
 def tabulated_gap(table: dict, tail=(1, 1)) -> GapFunction:
-    return GapFunction("tabulated", a=tail[0], b=tail[1],
-                       table=tuple(table.items()))
+    return GapFunction(a=tail[0], b=tail[1], table=tuple(table.items()))
 
 
 # -- the approximation driver ------------------------------------------------------
@@ -292,8 +264,6 @@ BLOCK_COLLECTION = PrimeCollection(
 COLLECTIONS = {c.name: c for c in
                (GRID_COLLECTION, TREE_COLLECTION, DEGREE_COLLECTION,
                 BLOCK_COLLECTION)}
-
-from .parameters import EDGE_DEGREE, PATHWIDTH, TREEWIDTH  # noqa: E402
 
 #: certificate name -> CertifiedTriple; sides say which verdicts are backed
 #: by an exact solver within the stated scope.

@@ -149,7 +149,8 @@ def suite_gaps():
     rep = gap_report(cert.kind, cert.collection, CORPORA[cert.corpus]())
     over = [r for r in rep.rows if r.collection > cert.gap(r.parameter)]
     checks.append(_check("grid-value-at-most-treewidth-plus-1",
-                         not over, f"{len(rep.rows)} simple graphs to 7 vertices"))
+                         not over, f"{len(rep.rows)} simple graphs to "
+                         f"{max(r.graph.n for r in rep.rows)} vertices"))
 
     cert = CERTIFICATES["pathwidth"]
     rep = gap_report(cert.kind, cert.collection, CORPORA[cert.corpus]())

@@ -118,6 +118,9 @@ def test_class_spec_membership():
 def test_class_spec_requires_antichain():
     with pytest.raises(ValueError):
         ClassSpec(Relation.MINOR, (complete(3), complete(4)))
+    # an antichain in its own mode, although K3 contains K2 once simplified
+    spec = ClassSpec(Relation.MINOR, (complete(3), theta(3)), Mode.MULTI, mult_cap=3)
+    assert spec.member(theta(2)) and not spec.member(theta(3))
 
 
 def test_class_spec_roundtrip():

@@ -1,4 +1,6 @@
 import pytest
+
+import obskit.universal as universal
 from hypothesis import given, settings
 
 from obskit.multigraph import MultiGraph, copies
@@ -27,7 +29,6 @@ from obskit.universal import (
     DEGREE_COLLECTION,
     GRID_COLLECTION,
     TREE_COLLECTION,
-    GapFunction,
     PrimeCollection,
     approximate,
     format_collection_spec,
@@ -92,6 +93,34 @@ def test_both_evaluation_forms_agree(g):
     # mismatch, so surviving the call is the assertion
     for coll in COLLECTIONS.values():
         assert p_of_collection(coll, g) >= 1
+
+
+def test_non_growing_family_is_rejected():
+    flat = ParametricFamily("flat", 1, Relation.MINOR, lambda k: path(3))
+    with pytest.raises(ValueError, match="does not grow strictly at index 2"):
+        p_of_sequence(flat, path(10))
+
+
+def test_both_forms_share_one_member_scan(monkeypatch):
+    # both formulas read one memo, so a member tested twice on the same host
+    # would raise these counts over mixed_corpus(200)
+    calls = []
+
+    def counting(rel, h, g, **kw):
+        calls.append(h)
+        return contains(rel, h, g, **kw)
+
+    monkeypatch.setattr(universal, "contains", counting)
+    corpus = mixed_corpus(200)
+    counts = {}
+    for name, coll in COLLECTIONS.items():
+        before = len(calls)
+        for g in corpus:
+            p_of_collection(coll, g)
+        counts[name] = len(calls) - before
+    assert counts == {"grids": 260, "ternary-trees": 316,
+                      "thetas-and-stars": 1596, "apex-trees-and-duals": 400}
+    assert sum(counts.values()) == 2572
 
 
 def test_collection_value_monotone_under_growing_host():
@@ -168,11 +197,15 @@ def test_p_of_prefix_empty_prefix_is_uncertified_clamp():
 
 
 def test_gap_function_forms():
-    assert identity_gap()(5) == 5
-    assert linear_gap(2, 1)(3) == 7
-    assert polynomial_gap(2)(3) == 9
-    t = tabulated_gap({0: 1, 1: 2, 2: 2})
+    table = {0: 1, 1: 2, 2: 2}
+    t = tabulated_gap(table)
     assert [t(k) for k in range(5)] == [1, 2, 2, 4, 5]  # linear tail past the table
+    for k in range(21):
+        assert identity_gap()(k) == k
+        assert linear_gap(3, 2)(k) == 3 * k + 2
+        assert polynomial_gap(3)(k) == k ** 3
+        assert t(k) == table.get(k, k + 1)
+        assert tabulated_gap(table, tail=(2, 0))(k) == table.get(k, 2 * k)
 
 
 def test_gap_function_validation():
@@ -183,7 +216,9 @@ def test_gap_function_validation():
     with pytest.raises(ValueError):
         tabulated_gap({0: 3, 1: 2})  # not nondecreasing
     with pytest.raises(ValueError):
-        GapFunction(form="cubic")
+        tabulated_gap({5: 1})  # the closed form runs 1, 2, 3, 4, 5 before it
+    with pytest.raises(ValueError):
+        tabulated_gap({0: 1, 1: 5})  # the tail drops below the table
 
 
 def test_gap_functions_are_nondecreasing():
