@@ -178,7 +178,7 @@ def cmd_universal(args) -> int:
             "verdict": verdict.kind,
             "bound": verdict.bound,
             "collection_value": verdict.collection_value,
-            "certified_sides": sorted(cert.sides),
+            "certified_sides": cert.certified_sides(g),
             "scope": cert.scope,
             "config": _config(args, relation=cert.collection.relation.value),
         }

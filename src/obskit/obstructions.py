@@ -33,7 +33,6 @@ test, and only for graphs that are neither forests nor too dense.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -50,16 +49,12 @@ from .multigraph import (
     delete_vertex,
     parse_graph_set,
 )
-from .parameters import ParameterKind, parameter_at_most
-from .relations import (Mode, Relation, _single_steps, contains, is_antichain,
-                        parse_relation)
+from .relations import Mode, Relation, _single_steps, is_antichain, parse_relation
 
 #: members whose reductions are re-checked, and random labelled graphs
 #: searched for unreached members, per scan; both draws are seeded
 _CLOSURE_SAMPLES = 100
 _CLOSURE_SEED = 0
-#: family indices past the base tried by `universal_sample_check`
-_INDEX_CAP = 8
 
 
 class NonClosedPredicateError(ValueError):
@@ -73,10 +68,6 @@ class NonClosedPredicateError(ValueError):
             f"predicate is not {relation.value}-closed: a member on "
             f"{member.n} vertices has a single-step reduction on "
             f"{reduct.n} vertices outside the class")
-
-
-class ChainNotFoundError(ValueError):
-    """No ascending chain exists inside the searched universe."""
 
 
 @dataclass(frozen=True)
@@ -230,142 +221,6 @@ BUILTIN_CLASSES = {
     "star_or_edgeless": (Relation.IMMERSION, is_star_or_edgeless),
     "theta_like": (Relation.IMMERSION, is_theta_like),
 }
-
-
-# -- obstruction sets of parameter level classes --------------------------------
-
-def _kind_bounds(kind: ParameterKind, length: int, n_max, mult_max):
-    """(n_max, mult_max), each None replaced by the kind's default bound."""
-    default_n, default_m = ((7, 1) if kind.monotone_relation is Relation.MINOR
-                            else (4, length + 1))
-    return (default_n if n_max is None else n_max,
-            default_m if mult_max is None else mult_max)
-
-
-@functools.lru_cache(maxsize=128)
-def obstructions_for_kind(kind: ParameterKind, relation, level, n_max, mult_max):
-    return compute_obstructions(
-        parse_relation(relation), lambda g: parameter_at_most(kind, level, g),
-        n_max, mult_max, class_desc=f"{kind.tag} <= {level}")
-
-
-@dataclass(frozen=True)
-class ObstructionChain:
-    kind: ParameterKind
-    relation: Relation
-    levels: tuple[int, ...]
-    graphs: tuple[MultiGraph, ...]
-    n_max: int
-    mult_max: int
-
-    def verify(self) -> bool:
-        for i, (level, g) in enumerate(zip(self.levels, self.graphs)):
-            if parameter_at_most(self.kind, level, g):
-                return False
-            rep = obstructions_for_kind(self.kind, self.relation, level,
-                                        self.n_max, self.mult_max)
-            if canonical_form(g) not in {canonical_form(o) for o in rep}:
-                return False
-            if i and not contains(self.relation, self.graphs[i - 1], g,
-                                  mode=rep.mode):
-                return False
-        return True
-
-
-def obstruction_chain(kind: ParameterKind, relation, length, *,
-                      n_max=None, mult_max=None) -> ObstructionChain:
-    """An ascending chain with one obstruction from each level 1..length.
-
-    Searched depth-first in enumeration order, so the result is the
-    lexicographically least chain inside the universe bound.
-    """
-    relation = parse_relation(relation)
-    n_max, mult_max = _kind_bounds(kind, length, n_max, mult_max)
-    reports = [obstructions_for_kind(kind, relation, lvl, n_max, mult_max)
-               for lvl in range(1, length + 1)]
-
-    def extend(prefix):
-        lvl = len(prefix)
-        if lvl == length:
-            return prefix
-        for cand in reports[lvl].obstructions:
-            if prefix and not contains(relation, prefix[-1], cand,
-                                       mode=reports[lvl].mode):
-                continue
-            full = extend(prefix + [cand])
-            if full is not None:
-                return full
-        return None
-
-    chain = extend([])
-    if chain is None:
-        raise ChainNotFoundError(
-            f"no ascending obstruction chain of length {length} for "
-            f"{kind.tag} within n<={n_max}, mult<={mult_max}")
-    return ObstructionChain(kind=kind, relation=relation,
-                            levels=tuple(range(1, length + 1)),
-                            graphs=tuple(chain), n_max=n_max, mult_max=mult_max)
-
-
-# -- sampled obstruction-to-family embedding ------------------------------------
-
-NO_EMBEDDING_NOTE = ("no obs-to-family embedding; "
-                     "equivalence checked via gap_report instead")
-
-
-@dataclass(frozen=True)
-class SampleCheckEntry:
-    level: int
-    obstruction: MultiGraph | None
-    family: str | None
-    index: int | None
-    note: str
-
-
-@dataclass(frozen=True)
-class SampleCheckReport:
-    kind: ParameterKind
-    relation: Relation
-    entries: tuple[SampleCheckEntry, ...]
-    n_max: int
-    mult_max: int
-
-
-def universal_sample_check(kind: ParameterKind, relation, families, k_max, *,
-                           n_max=None, mult_max=None) -> SampleCheckReport:
-    """For each level k, embed one obstruction into a family member.
-
-    Takes the enumeration-least obstruction of the level-k class and reports
-    the least family index containing it.  Obstructions need not embed at
-    all (no tree contains a triangle); that outcome is recorded, not fatal.
-    """
-    relation = parse_relation(relation)
-    n_max, mult_max = _kind_bounds(kind, k_max, n_max, mult_max)
-    entries = []
-    for level in range(1, k_max + 1):
-        rep = obstructions_for_kind(kind, relation, level, n_max, mult_max)
-        if not rep.obstructions:
-            entries.append(SampleCheckEntry(level, None, None, None,
-                                            "no obstruction within bound"))
-            continue
-        target = rep.obstructions[0]
-        best = None
-        for fam in families:
-            for idx in range(fam.base_index, fam.base_index + _INDEX_CAP + 1):
-                if best is not None and idx >= best[1]:
-                    break
-                if contains(relation, target, fam.member(idx), max_host=512):
-                    best = (fam.name, idx)
-                    break
-        if best is None:
-            entries.append(SampleCheckEntry(level, target, None, None,
-                                            NO_EMBEDDING_NOTE))
-        else:
-            entries.append(SampleCheckEntry(level, target, best[0], best[1],
-                                            "embedded"))
-    return SampleCheckReport(kind=kind, relation=relation,
-                             entries=tuple(entries),
-                             n_max=n_max, mult_max=mult_max)
 
 
 # -- packaged golden fixtures ----------------------------------------------------

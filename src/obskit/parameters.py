@@ -16,8 +16,7 @@ graphs whose bounds meet or nearly meet visit few of the 2^n prefixes.
 
 - treewidth: `_tw_bounds`, minor-min-width below and the better of greedy
   min-fill and min-degree elimination above, whose order read backwards is
-  the layout; the value must lie between them.  `parameter_at_most(
-  TREEWIDTH, ...)` answers from the bounds whenever they decide it.
+  the layout; the value must lie between them.
   treewidth_by_elimination deliberately skips the bounds: it stays the raw
   DP, so comparing the two solvers remains a real cross-check.
 - pathwidth: minor-min-width below (mmw <= tw <= pw), a greedy cheapest-next
@@ -480,17 +479,3 @@ def parameter_value(kind: ParameterKind, g: MultiGraph) -> int:
     if kind.tag == "z_apex":
         return z_apex(g, kind.z_list)[0]
     raise ValueError(f"unknown parameter kind {kind.tag!r}")
-
-
-def parameter_at_most(kind: ParameterKind, k: int, g: MultiGraph) -> bool:
-    """Whether the parameter of g is at most k; treewidth answers from its
-    bounds when they decide it and runs the DP only in between."""
-    if kind.tag == "treewidth":
-        g = g.simplify()
-        _check_cap(g, MAX_TREEWIDTH_VERTICES, "treewidth")
-        lo, hi, _ = _tw_bounds(g)
-        if lo > k:
-            return False
-        if hi <= k:
-            return True
-    return parameter_value(kind, g) <= k

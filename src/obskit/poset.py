@@ -5,20 +5,12 @@ partition into n - |M| chains, and König's theorem turns the same matching
 into a minimum vertex cover whose uncovered elements form an antichain of
 that size. Both are checked before any answer is returned, so the width is
 proved at every size.
-
-Graph sequences are quotiented before any width computation.  Under the
-containment relations used here mutual containment forces equal size and
-hence isomorphism, so the quotient is canonical-form deduplication.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import networkx as nx
-
-from .multigraph import MultiGraph, canonical_form
-from .relations import contains, parse_relation
 
 
 @dataclass(frozen=True)
@@ -229,95 +221,3 @@ def chain_partition(p: FinitePoset) -> list[list]:
     """Partition into exactly poset_width(p) chains, each sorted ascending."""
     return sorted(([p.labels[i] for i in c] for c in _dilworth(p)),
                   key=lambda c: str(c[0]))
-
-
-# -- graph sequence prefixes --------------------------------------------------------
-
-
-def _prefix_poset(prefix, relation):
-    """Quotient a prefix by mutual containment, then build its poset.
-
-    Literal repeats are collapsed up front; the remaining merging falls out
-    of the containment matrix itself (mutual containment here means
-    isomorphism, since strict steps always lose size).
-    """
-    relation = parse_relation(relation)
-    reps = []
-    last_pos = []
-    seen = {}
-    for pos, g in enumerate(prefix):
-        key = (g.n, g.edges)
-        if key in seen:
-            last_pos[seen[key]] = pos
-        else:
-            seen[key] = len(reps)
-            reps.append(g)
-            last_pos.append(pos)
-    n = len(reps)
-    raw = [[i == j or contains(relation, reps[i], reps[j])
-            for j in range(n)] for i in range(n)]
-    keep = [i for i in range(n)
-            if not any(raw[i][j] and raw[j][i] for j in range(i))]
-    for i in range(n):
-        if i not in keep:
-            twin = next(j for j in keep if raw[i][j] and raw[j][i])
-            last_pos[twin] = max(last_pos[twin], last_pos[i])
-    reps = [reps[i] for i in keep]
-    last_pos = [last_pos[i] for i in keep]
-    le = tuple(tuple(raw[i][j] for j in keep) for i in keep)
-    poset = FinitePoset(tuple(range(len(keep))), le)
-    return poset, reps, last_pos
-
-
-def sequence_width(prefix, relation) -> int:
-    """Width of the prefix under the relation, after the equivalence quotient."""
-    if not prefix:
-        return 0
-    poset, _, _ = _prefix_poset(prefix, relation)
-    return poset_width(poset)
-
-
-@dataclass(frozen=True)
-class RationalizedChain:
-    graphs: tuple[MultiGraph, ...]
-    growing: bool
-
-
-@dataclass(frozen=True)
-class RationalizeResult:
-    chains: tuple[RationalizedChain, ...]
-    #: growing chains with no other growing chain strictly below them
-    candidates: tuple[RationalizedChain, ...]
-
-
-def rationalize(prefix, relation) -> RationalizeResult:
-    """Split a prefix into width-many chains and flag the growing ones.
-
-    A chain counts as growing when its top element was last seen in the
-    final quarter of the prefix; that is a reported heuristic standing in
-    for which chains would keep growing, not a verified property.
-    """
-    poset, reps, last_pos = _prefix_poset(prefix, relation)
-    cutoff = len(prefix) - max(1, -(-len(prefix) // 4))
-    parts = chain_partition(poset)
-    sizes = Counter((reps[c[0]].n, reps[c[0]].total_units) for c in parts)
-
-    def enum_order(c):
-        # enum_key order; canonical forms only break ties of size
-        g = reps[c[0]]
-        tied = sizes[g.n, g.total_units] > 1
-        return (g.n, g.total_units, canonical_form(g) if tied else b"")
-
-    parts.sort(key=enum_order)
-    chains = [RationalizedChain(tuple(reps[i] for i in c),
-                                last_pos[c[-1]] >= cutoff) for c in parts]
-
-    def chain_le(a, b):
-        return all(any(poset.le[x][y] for y in parts[b]) for x in parts[a])
-
-    growing = [a for a, c in enumerate(chains) if c.growing]
-    candidates = tuple(
-        chains[a] for a in growing
-        if not any(b != a and chain_le(b, a) and not chain_le(a, b)
-                   for b in growing))
-    return RationalizeResult(tuple(chains), candidates)

@@ -59,7 +59,6 @@ from .multigraph import (
     contract_edge,
     delete_edge,
     delete_vertex,
-    enum_key,
     lift_pair,
 )
 
@@ -537,47 +536,7 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
     raise ValueError(f"unknown relation {rel!r}")
 
 
-# -- set-level operators ------------------------------------------------------
-
-def dedup_graphs(graphs) -> list[MultiGraph]:
-    """Drop isomorphic repeats and return the survivors sorted by enum_key."""
-    by_form: dict[bytes, MultiGraph] = {}
-    for g in graphs:
-        by_form.setdefault(canonical_form(g), g)
-    return sorted(by_form.values(), key=enum_key)
-
-
-def min_elements(rel: Relation | str, s) -> list[MultiGraph]:
-    """The minimal members of s under the relation, as an antichain."""
-    members = dedup_graphs(s)
-    out = []
-    for i, m in enumerate(members):
-        if any(i != j and contains(rel, x, m)
-               for j, x in enumerate(members)):
-            continue
-        out.append(m)
-    return out
-
-
-def set_dominates(rel: Relation | str, a, b) -> bool:
-    """Every member of b contains some member of a (vacuously true for empty b)."""
-    a = list(a)
-    return all(any(contains(rel, x, y) for x in a) for y in b)
-
-
-def down_closure_within(rel: Relation | str, seeds, universe) -> list[MultiGraph]:
-    """Members of the universe lying below some seed."""
-    seeds = list(seeds)
-    return [g for g in dedup_graphs(universe)
-            if any(contains(rel, g, s) for s in seeds)]
-
-
-def up_closure_within(rel: Relation | str, seeds, universe) -> list[MultiGraph]:
-    """Members of the universe lying above some seed."""
-    seeds = list(seeds)
-    return [g for g in dedup_graphs(universe)
-            if any(contains(rel, s, g) for s in seeds)]
-
+# -- antichains ---------------------------------------------------------------
 
 def is_antichain(rel: Relation | str, graphs, *, mode: Mode | str | None = None) -> bool:
     """No member contains another (isomorphic repeats also fail)."""
@@ -676,15 +635,3 @@ def immersion_by_liftings(g: MultiGraph, h: MultiGraph) -> bool:
     return any(c == target for c in
                _walk(g, Relation.IMMERSION, Mode.MULTI, (h.n, h.total_units),
                      _Deadline(None), max_states=_ORACLE_MAX_STATES))
-
-
-def subgraph_map_as_model(image) -> tuple[frozenset[int], ...]:
-    """View an injective vertex image as a minor model of singleton sets."""
-    return tuple(frozenset((w,)) for w in image)
-
-
-def compose_minor_models(inner, outer) -> tuple[frozenset[int], ...]:
-    """Chain branch sets for A inside B with branch sets for B inside C
-    into branch sets for A inside C."""
-    outer = [frozenset(s) for s in outer]
-    return tuple(frozenset(w for v in s for w in outer[v]) for s in inner)

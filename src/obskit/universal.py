@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from .families import (GRID_FAMILY, STAR_FAMILY, TERNARY_TREE_APEX_DUAL_FAMILY,
                        TERNARY_TREE_APEX_FAMILY, TERNARY_TREE_FAMILY, THETA_FAMILY,
                        ParametricFamily, family_by_name, growth_size)
-from .multigraph import MultiGraph, enum_key, enumerate_graphs
+from .multigraph import MultiGraph, _forest, enum_key, enumerate_graphs
 from .parameters import (EDGE_DEGREE, PATHWIDTH, TREEWIDTH, ParameterKind,
                          parameter_value)
-from .relations import Mode, Relation, contains, default_mode, parse_relation
+from .relations import Relation, contains, parse_relation
 
 # generous caps: scans are already bounded by the size-growth rule, these
 # only guard against runaway containment queries on mid-size members
@@ -77,11 +77,6 @@ def _contained(fam: ParametricFamily, relation, g, seen: dict, k: int) -> bool:
     return seen[k][1]
 
 
-def p_of_sequence(fam: ParametricFamily, g: MultiGraph) -> int:
-    """Least k with fam.member(k) not contained in g (clamped at the base)."""
-    return p_of_collection(PrimeCollection(fam.name, fam.relation, (fam,)), g)
-
-
 def p_of_collection(coll: PrimeCollection, g: MultiGraph) -> int:
     """Collection value computed by both formulas; equality is asserted."""
     seen = {fam.name: {} for fam in coll.families}
@@ -107,29 +102,6 @@ def p_of_collection(coll: PrimeCollection, g: MultiGraph) -> int:
             f"collection formulas disagree on a {g.n}-vertex graph: "
             f"max-form {by_max}, min-form {by_min}; this is a bug")
     return by_max
-
-
-def p_of_prefix(relation, graphs, g, *, base_index=1, mode=None):
-    """Literal least-escape evaluation over an explicit finite prefix.
-
-    Returns (value, certified).  The value is exact for the infinite
-    sequence only when the prefix already outgrows g, which is what the
-    certified flag reports; on a non-growing ad hoc prefix it is a lower
-    bound.  The last member is measured as `contains` sees it, so simple
-    mode measures its simplification.
-    """
-    relation = parse_relation(relation)
-    mode = default_mode(relation) if mode is None else Mode(mode)
-    graphs = list(graphs)
-    contained = [contains(relation, m, g, mode=mode, max_pattern=_MAX_PATTERN,
-                          max_host=_MAX_HOST)
-                 for m in graphs]
-    hits = [i for i, c in enumerate(contained) if c]
-    value = base_index + hits[-1] + 1 if hits else max(base_index - 1, 1)
-    if not graphs:
-        return value, False
-    last = graphs[-1].simplify() if mode is Mode.SIMPLE else graphs[-1]
-    return value, growth_size(last) > growth_size(g)
 
 
 # -- gap functions ----------------------------------------------------------------
@@ -161,22 +133,6 @@ class GapFunction:
         return dict(self.table).get(k, self.a * k ** self.c + self.b)
 
 
-def identity_gap() -> GapFunction:
-    return GapFunction()
-
-
-def linear_gap(a: int, b: int) -> GapFunction:
-    return GapFunction(a=a, b=b)
-
-
-def polynomial_gap(c: int) -> GapFunction:
-    return GapFunction(c=c)
-
-
-def tabulated_gap(table: dict, tail=(1, 1)) -> GapFunction:
-    return GapFunction(a=tail[0], b=tail[1], table=tuple(table.items()))
-
-
 # -- the approximation driver ------------------------------------------------------
 
 
@@ -203,6 +159,10 @@ def approximate(coll: PrimeCollection, gap: GapFunction, g, k) -> Verdict:
     return Verdict("AT_MOST", gap(gap(k)), p)
 
 
+#: class name -> membership test, for the classes certificates are proved on
+_PROOF_CLASSES = {"all graphs": lambda g: True, "forests": _forest}
+
+
 @dataclass(frozen=True)
 class CertifiedTriple:
     """A (parameter, collection, gap) certificate and where it is valid."""
@@ -213,6 +173,12 @@ class CertifiedTriple:
     sides: frozenset          # subset of {"above", "at_most"}
     scope: str
     corpus: str               # the CORPORA entry its gap was checked on
+    proved_on: str            # the _PROOF_CLASSES entry its sides hold on
+
+    def certified_sides(self, g: MultiGraph) -> list[str]:
+        """The sides proved for g: all of `sides` when g lies in the class
+        the proof covers, none otherwise."""
+        return sorted(self.sides) if _PROOF_CLASSES[self.proved_on](g) else []
 
 
 # -- gap reports ------------------------------------------------------------------
@@ -265,28 +231,33 @@ COLLECTIONS = {c.name: c for c in
                (GRID_COLLECTION, TREE_COLLECTION, DEGREE_COLLECTION,
                 BLOCK_COLLECTION)}
 
-#: certificate name -> CertifiedTriple; sides say which verdicts are backed
-#: by an exact solver within the stated scope.
+#: certificate name -> CertifiedTriple; sides say which verdicts are proved
+#: on the class the certificate names.
 CERTIFICATES = {
     "treewidth": CertifiedTriple(
-        TREEWIDTH, GRID_COLLECTION, linear_gap(1, 1),
+        TREEWIDTH, GRID_COLLECTION, GapFunction(a=1, b=1),
         frozenset({"above"}),
         "above-side sound everywhere (grid value never undershoots "
         "treewidth by more than one); the at-most side is not certified",
-        "simple7"),
+        "simple7", "all graphs"),
     "edge_degree": CertifiedTriple(
-        EDGE_DEGREE, DEGREE_COLLECTION, linear_gap(1, 1),
+        EDGE_DEGREE, DEGREE_COLLECTION, GapFunction(a=1, b=1, c=2),
         frozenset({"above", "at_most"}),
-        "both sides sound on the theta/star corpus where the collection "
-        "value exceeds the edge degree by exactly one",
-        "theta_star"),
+        "both sides proved on every multigraph: edge degree is "
+        "immersion-monotone and star(m), theta(m) have edge degree m, so "
+        "value - 1 <= edge degree; neither star(value) nor theta(value) "
+        "immerses, so a vertex has fewer than value neighbours, each joined "
+        "by fewer than value edges, and edge degree <= (value - 1)^2",
+        "theta_star", "all graphs"),
     "pathwidth": CertifiedTriple(
-        PATHWIDTH, TREE_COLLECTION,
-        tabulated_gap({0: 1, 1: 2, 2: 2}),
+        PATHWIDTH, TREE_COLLECTION, GapFunction(a=2, b=0, table=((0, 1),)),
         frozenset({"above", "at_most"}),
-        "empirical, corpus-valid only: gap measured on trees with at "
-        "most 9 vertices, linear tail beyond the table",
-        "trees9"),
+        "both sides proved on forests: a tree has pathwidth >= k + 1 iff "
+        "some vertex has three branches of pathwidth >= k (Ellis, "
+        "Sudborough and Turner 1994), so ternary_tree(m) has pathwidth "
+        "m // 2 + 1 and pathwidth <= value <= 2 * pathwidth on every tree "
+        "with an edge; no side is certified off forests",
+        "trees9", "forests"),
 }
 
 
@@ -330,14 +301,6 @@ CORPORA = {
 
 
 # -- collection files ---------------------------------------------------------------
-
-
-def format_collection_spec(coll: PrimeCollection) -> str:
-    return json.dumps({
-        "name": coll.name,
-        "relation": coll.relation.value,
-        "families": [f.name for f in coll.families],
-    }, indent=2) + "\n"
 
 
 def parse_collection_spec(text: str) -> PrimeCollection:

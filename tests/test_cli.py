@@ -5,8 +5,8 @@ import pytest
 
 from conftest import drop_one_matched_pair
 from obskit.cli import INTERNAL_EXIT, USAGE_EXIT, main
-from obskit.families import grid, star
-from obskit.multigraph import format_graph_text, from_graph6, to_graph6
+from obskit.families import FAMILIES, complete, grid, star
+from obskit.multigraph import format_graph_text, parse_graph_text, to_graph6
 from obskit.poset import FinitePoset, format_poset_text, rado_truncation
 from obskit.universal import CERTIFICATES, CORPORA
 
@@ -103,6 +103,15 @@ def test_gen_to_stdout_is_plain_text(capsys):
                        "--out", "-")
     assert code == 0
     assert out.startswith("n 5\n")
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_gen_emits_every_family_from_its_base_index(capsys, name):
+    fam = FAMILIES[name]
+    for k in (fam.base_index, fam.base_index + 1):
+        code, out, _ = run(capsys, "gen", "--family", name, "--k", str(k))
+        assert code == 0
+        assert parse_graph_text(out) == fam.member(k)
 
 
 def test_gen_below_base_index_fails_cleanly(capsys):
@@ -211,6 +220,13 @@ def test_universal_approx(capsys, files):
     assert data["bound"] == 2
     assert "above" in data["certified_sides"]
     assert data["scope"]
+    # off forests the pathwidth certificate proves nothing: K_8 has value 2
+    # and pathwidth 7
+    g = files("k8.txt", format_graph_text(complete(8)))
+    code, out, _ = run(capsys, "universal", "approx", "--certificate",
+                       "pathwidth", "--g", g, "--k", "1")
+    data = json.loads(out)
+    assert (code, data["verdict"], data["certified_sides"]) == (0, "AT_MOST", [])
 
 
 def test_universal_gap_tsv(capsys):

@@ -7,7 +7,6 @@ from obskit.multigraph import (BudgetExceededError, MultiGraph, _layer,
 from obskit.families import complete, complete_bipartite, grid, path, star, theta
 from obskit.obstructions import (
     BUILTIN_CLASSES,
-    ChainNotFoundError,
     NonClosedPredicateError,
     ObstructionReport,
     compute_obstructions,
@@ -18,14 +17,10 @@ from obskit.obstructions import (
     is_star_or_edgeless,
     is_subcubic_forest,
     is_theta_like,
-    obstruction_chain,
-    obstructions_for_kind,
-    universal_sample_check,
 )
-from obskit.parameters import EDGE_DEGREE, TREEWIDTH, parameter_at_most
+from obskit.parameters import treewidth
 from obskit.relations import (Mode, Relation, _is_tree, _single_steps,
                               is_antichain)
-from obskit.families import GRID_FAMILY, COMPLETE_FAMILY
 
 K3, K4 = complete(3), complete(4)
 
@@ -157,7 +152,7 @@ def _full_universe_obstructions(relation, predicate, n_max, mult_max):
 
 
 def _treewidth_at_most_1(g):
-    return parameter_at_most(TREEWIDTH, 1, g)
+    return treewidth(g)[0] <= 1
 
 
 def _nothing(g):
@@ -258,40 +253,3 @@ def test_star_or_edgeless_fixture_is_the_honest_set():
 def test_unknown_fixture_name():
     with pytest.raises(FileNotFoundError):
         fixture_graphs("no_such_fixture.txt")
-
-
-# -- parameter level chains ----------------------------------------------------
-
-
-def test_treewidth_chain():
-    ch = obstruction_chain(TREEWIDTH, Relation.MINOR, 2, n_max=5)
-    assert keys(ch.graphs) == keys([K3, K4])
-    assert ch.levels == (1, 2)
-    assert ch.verify()
-
-
-def test_edge_degree_chain():
-    ch = obstruction_chain(EDGE_DEGREE, Relation.IMMERSION, 2)
-    assert [(g.n, g.total_units) for g in ch.graphs] == [(2, 2), (2, 3)]
-    assert ch.verify()
-
-
-def test_chain_not_found_in_tiny_universe():
-    with pytest.raises(ChainNotFoundError):
-        obstruction_chain(TREEWIDTH, Relation.MINOR, 3, n_max=4)
-
-
-def test_universal_sample_check_embeds_into_grids():
-    rep = universal_sample_check(TREEWIDTH, Relation.MINOR,
-                                 [GRID_FAMILY, COMPLETE_FAMILY], 2, n_max=5)
-    assert [e.level for e in rep.entries] == [1, 2]
-    assert all(e.note == "embedded" for e in rep.entries)
-    assert [(e.family, e.index) for e in rep.entries] == [("grid", 2), ("grid", 3)]
-
-
-def test_kind_obstructions_are_memoized():
-    obstructions_for_kind.cache_clear()
-    first = obstructions_for_kind(TREEWIDTH, Relation.MINOR, 0, 3, 1)
-    assert obstructions_for_kind(TREEWIDTH, Relation.MINOR, 0, 3, 1) is first
-    assert obstructions_for_kind.cache_info().hits == 1
-    assert keys(first) == keys([path(2)])

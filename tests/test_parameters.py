@@ -33,7 +33,6 @@ from obskit.parameters import (
     layout_cutwidth_cost,
     layout_pathwidth_cost,
     layout_treewidth_cost,
-    parameter_at_most,
     parameter_value,
     parse_kind,
     pathwidth,
@@ -257,15 +256,6 @@ def test_layout_search_leaves_no_cycles_behind():
         gc.enable()
 
 
-def test_treewidth_at_most_matches_the_value():
-    for g in list(enumerate_graphs(6, 1)) + list(enumerate_graphs(4, 2)):
-        tw = treewidth(g)[0]
-        for k in range(6):
-            assert parameter_at_most(TREEWIDTH, k, g) == (tw <= k), (g, k)
-    assert parameter_at_most(TREEWIDTH, 4, OPEN_AT_LO)
-    assert not parameter_at_most(TREEWIDTH, 3, OPEN_AT_HI)
-
-
 @settings(max_examples=40)
 @given(multigraphs(max_n=6, max_mult=2))
 def test_layouts_witness_their_widths(g):
@@ -360,5 +350,3 @@ def test_parameter_value_dispatch():
     assert parameter_value(TREEWIDTH, K4) == 3
     assert parameter_value(CUTWIDTH, theta(4)) == 4
     assert parameter_value(z_apex_kind([K3]), K5) == 3
-    assert parameter_at_most(TREEWIDTH, 3, K4)
-    assert not parameter_at_most(TREEWIDTH, 2, K4)

@@ -3,8 +3,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obskit.multigraph import MultiGraph
-from obskit.families import complete, path, star, ternary_tree
 from obskit.poset import (
     MAX_POSET_SIZE,
     FinitePoset,
@@ -16,13 +14,9 @@ from obskit.poset import (
     rado_order,
     rado_star_antichain_witness,
     rado_truncation,
-    rationalize,
-    sequence_width,
     set_below,
 )
 from conftest import drop_one_matched_pair
-from obskit import poset as poset_module
-from obskit.relations import Relation
 
 
 def diamond():
@@ -182,73 +176,3 @@ def test_set_below_hoare_direction():
     assert set_below(le, [], [(0, 1)])
     assert set_below(le, [(0, 1), (0, 2)], [(0, 5)])
     assert not set_below(le, [(3, 4)], [(0, 1)])
-
-
-# -- graph sequence prefixes --------------------------------------------------------
-
-
-def interleaved_prefix():
-    return [path(3), star(3), path(5), star(4), path(7), star(5)]
-
-
-def test_sequence_width_of_interleaved_prefix():
-    assert sequence_width(interleaved_prefix(), Relation.MINOR) == 2
-    assert sequence_width([path(k) for k in (2, 4, 6)], Relation.MINOR) == 1
-
-
-def test_sequence_width_merges_isomorphic_repeats():
-    rerouted = MultiGraph.build(4, [(0, 2), (2, 3), (3, 1)])
-    assert sequence_width([path(4), rerouted], Relation.MINOR) == 1
-
-
-def test_sequence_width_handles_large_trees():
-    assert sequence_width([ternary_tree(k) for k in range(1, 5)],
-                          Relation.MINOR) == 1
-
-
-def test_rationalize_splits_paths_from_stars():
-    res = rationalize(interleaved_prefix(), Relation.MINOR)
-    assert len(res.chains) == 2
-    assert len(res.candidates) == 2
-    for chain in res.chains:
-        assert chain.growing
-        for a, b in zip(chain.graphs, chain.graphs[1:]):
-            from obskit.relations import contains
-            assert contains(Relation.MINOR, a, b)
-
-
-def test_rationalize_drops_stalled_chains():
-    # the single triangle stops early; the path chain keeps growing
-    prefix = [complete(3), path(2), path(4), path(6), path(8), path(10)]
-    res = rationalize(prefix, Relation.MINOR)
-    growing = [c for c in res.chains if c.growing]
-    assert len(res.chains) == 2
-    assert len(growing) == 1
-    assert list(res.candidates) == growing
-
-
-def test_rationalize_orders_large_trees_without_canonical_forms():
-    res = rationalize([complete(3), ternary_tree(3)], Relation.MINOR)
-    assert [c.graphs for c in res.chains] == [(complete(3),), (ternary_tree(3),)]
-    assert [c.growing for c in res.chains] == [False, True]
-    assert [c.graphs for c in res.candidates] == [(ternary_tree(3),)]
-
-
-def test_rationalize_asks_no_containment_after_building_the_poset(monkeypatch):
-    calls = []
-    real_contains, real_prefix = poset_module.contains, poset_module._prefix_poset
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real_contains(*args, **kwargs)
-
-    def prefix_poset(*args, **kwargs):
-        out = real_prefix(*args, **kwargs)
-        calls.append("built")
-        return out
-
-    monkeypatch.setattr(poset_module, "contains", counted)
-    monkeypatch.setattr(poset_module, "_prefix_poset", prefix_poset)
-    res = rationalize(interleaved_prefix(), Relation.MINOR)
-    assert len(res.candidates) == 2
-    assert calls[-1] == "built" and len(calls) > 1

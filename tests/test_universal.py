@@ -3,7 +3,7 @@ import pytest
 import obskit.universal as universal
 from hypothesis import given, settings
 
-from obskit.multigraph import MultiGraph, copies
+from obskit.multigraph import MultiGraph, copies, enumerate_graphs
 from obskit.families import (
     ParametricFamily,
     STAR_FAMILY,
@@ -14,13 +14,14 @@ from obskit.families import (
     grid,
     path,
     star,
+    ternary_tree,
     ternary_tree_apex,
     ternary_tree_apex_dual,
     theta,
 )
 from obskit.obstructions import is_forest, is_outerplanar
-from obskit.parameters import edge_degree, pathwidth, treewidth
-from obskit.relations import Mode, Relation, contains
+from obskit.parameters import parameter_value
+from obskit.relations import Relation, contains
 from obskit.universal import (
     BLOCK_COLLECTION,
     CERTIFICATES,
@@ -29,19 +30,13 @@ from obskit.universal import (
     DEGREE_COLLECTION,
     GRID_COLLECTION,
     TREE_COLLECTION,
+    GapFunction,
     PrimeCollection,
     approximate,
-    format_collection_spec,
     gap_report,
-    identity_gap,
-    linear_gap,
     mixed_corpus,
     p_of_collection,
-    p_of_prefix,
-    p_of_sequence,
     parse_collection_spec,
-    polynomial_gap,
-    tabulated_gap,
     theta_star_corpus,
     tree_corpus,
 )
@@ -51,14 +46,19 @@ from conftest import multigraphs
 K3, K4 = complete(3), complete(4)
 
 
+def alone(fam):
+    """The one-family collection of fam."""
+    return PrimeCollection(fam.name, fam.relation, (fam,))
+
+
 # -- collection values ------------------------------------------------------------
 
 
 def test_sequence_values_on_named_graphs():
-    assert p_of_sequence(TERNARY_TREE_FAMILY, path(100)) == 1
-    assert p_of_sequence(TERNARY_TREE_FAMILY, star(3)) == 2
-    assert p_of_sequence(STAR_FAMILY, star(7)) == 8
-    assert p_of_sequence(family_by_name("grid"), grid(3)) == 4
+    assert p_of_collection(alone(TERNARY_TREE_FAMILY), path(100)) == 1
+    assert p_of_collection(alone(TERNARY_TREE_FAMILY), star(3)) == 2
+    assert p_of_collection(alone(STAR_FAMILY), star(7)) == 8
+    assert p_of_collection(alone(family_by_name("grid")), grid(3)) == 4
 
 
 def test_collection_values_on_named_graphs():
@@ -78,8 +78,8 @@ def test_bottom_values_clamp_at_one():
 def test_clamp_holds_for_a_family_starting_above_two():
     # K_k from k = 3: a host without K3 gets the clamped value 2
     late = ParametricFamily("complete_from_3", 3, Relation.MINOR, complete)
-    assert p_of_sequence(late, path(4)) == 2
-    assert p_of_sequence(late, K4) == 5
+    assert p_of_collection(alone(late), path(4)) == 2
+    assert p_of_collection(alone(late), K4) == 5
     both = PrimeCollection("late_and_paths", Relation.MINOR,
                            (late, family_by_name("path")))
     assert p_of_collection(both, path(4)) == 5
@@ -98,7 +98,7 @@ def test_both_evaluation_forms_agree(g):
 def test_non_growing_family_is_rejected():
     flat = ParametricFamily("flat", 1, Relation.MINOR, lambda k: path(3))
     with pytest.raises(ValueError, match="does not grow strictly at index 2"):
-        p_of_sequence(flat, path(10))
+        p_of_collection(alone(flat), path(10))
 
 
 def test_both_forms_share_one_member_scan(monkeypatch):
@@ -168,62 +168,38 @@ def test_block_collection_families_are_incomparable():
     assert not contains(Relation.MINOR, k23, td)
 
 
-# -- prefix evaluation -------------------------------------------------------------
-
-
-def test_p_of_prefix_certified_flag():
-    prefix = [grid(k) for k in range(2, 6)]
-    assert p_of_prefix(Relation.MINOR, prefix, grid(3), base_index=2) == (4, True)
-    assert p_of_prefix(Relation.MINOR, prefix, path(30), base_index=2) == (1, True)
-    # prefix exhausted while the last member is still contained
-    short = [grid(2), grid(3)]
-    assert p_of_prefix(Relation.MINOR, short, complete(10), base_index=2) == (4, False)
-
-
-def test_p_of_prefix_measures_members_as_contains_does():
-    # simple mode sees theta(2) as K2, which path(2) contains
-    assert contains(Relation.MINOR, theta(2), path(2))
-    assert p_of_prefix(Relation.MINOR, [theta(2)], path(2)) == (2, False)
-    assert p_of_prefix(Relation.MINOR, [theta(2)], path(2),
-                       mode=Mode.MULTI) == (1, True)
-
-
-def test_p_of_prefix_empty_prefix_is_uncertified_clamp():
-    assert p_of_prefix(Relation.MINOR, [], K3) == (1, False)
-    assert p_of_prefix(Relation.MINOR, [], K3, base_index=3) == (2, False)
-
-
 # -- gap functions -----------------------------------------------------------------
 
 
 def test_gap_function_forms():
-    table = {0: 1, 1: 2, 2: 2}
-    t = tabulated_gap(table)
-    assert [t(k) for k in range(5)] == [1, 2, 2, 4, 5]  # linear tail past the table
+    table = GapFunction(b=1, table=((0, 1), (1, 2), (2, 2)))
+    assert [table(k) for k in range(5)] == [1, 2, 2, 4, 5]  # linear tail past the table
     for k in range(21):
-        assert identity_gap()(k) == k
-        assert linear_gap(3, 2)(k) == 3 * k + 2
-        assert polynomial_gap(3)(k) == k ** 3
-        assert t(k) == table.get(k, k + 1)
-        assert tabulated_gap(table, tail=(2, 0))(k) == table.get(k, 2 * k)
+        assert GapFunction()(k) == k
+        assert GapFunction(a=3, b=2)(k) == 3 * k + 2
+        assert GapFunction(c=3)(k) == k ** 3
+        assert table(k) == {0: 1, 1: 2, 2: 2}.get(k, k + 1)
+        assert GapFunction(a=2, table=((0, 1),))(k) == (2 * k or 1)
+        assert GapFunction(b=1, c=2)(k) == k * k + 1
 
 
 def test_gap_function_validation():
     with pytest.raises(ValueError):
-        linear_gap(-1, 0)
+        GapFunction(a=-1)
     with pytest.raises(ValueError):
-        polynomial_gap(0)
+        GapFunction(c=0)
     with pytest.raises(ValueError):
-        tabulated_gap({0: 3, 1: 2})  # not nondecreasing
+        GapFunction(b=1, table=((0, 3), (1, 2)))  # not nondecreasing
     with pytest.raises(ValueError):
-        tabulated_gap({5: 1})  # the closed form runs 1, 2, 3, 4, 5 before it
+        GapFunction(b=1, table=((5, 1),))  # the closed form runs 1, 2, 3, 4, 5 before it
     with pytest.raises(ValueError):
-        tabulated_gap({0: 1, 1: 5})  # the tail drops below the table
+        GapFunction(b=1, table=((0, 1), (1, 5)))  # the tail drops below the table
 
 
 def test_gap_functions_are_nondecreasing():
-    for gf in (identity_gap(), linear_gap(1, 1), polynomial_gap(2),
-               tabulated_gap({0: 1, 1: 2, 2: 2})):
+    for gf in (GapFunction(), GapFunction(b=1), GapFunction(c=2),
+               GapFunction(b=1, table=((0, 1), (1, 2), (2, 2))),
+               *(cert.gap for cert in CERTIFICATES.values())):
         vals = [gf(k) for k in range(8)]
         assert vals == sorted(vals)
 
@@ -240,7 +216,9 @@ def test_approximate_verdicts_pinned():
     assert str(v) == "AT_MOST(4)"
     cert = CERTIFICATES["edge_degree"]
     v = approximate(cert.collection, cert.gap, star(6), 3)
-    assert (v.kind, v.bound) == ("ABOVE", 3)
+    assert (v.kind, v.bound) == ("AT_MOST", 101)
+    v = approximate(cert.collection, cert.gap, star(6), 2)
+    assert (v.kind, v.bound) == ("ABOVE", 2)
 
 
 def test_certificates_declare_their_sides():
@@ -249,6 +227,56 @@ def test_certificates_declare_their_sides():
     assert CERTIFICATES["pathwidth"].sides == frozenset({"above", "at_most"})
     for cert in CERTIFICATES.values():
         assert cert.scope
+    assert {name: cert.proved_on for name, cert in CERTIFICATES.items()} == {
+        "treewidth": "all graphs", "edge_degree": "all graphs",
+        "pathwidth": "forests"}
+    # K_8 has ternary-tree value 2 and pathwidth 7: off forests no side holds
+    cert = CERTIFICATES["pathwidth"]
+    assert approximate(cert.collection, cert.gap, complete(8), 1).bound == 4
+    assert cert.certified_sides(complete(8)) == []
+    assert cert.certified_sides(path(5)) == ["above", "at_most"]
+
+
+def test_certified_sides_hold_beyond_the_corpora(monkeypatch):
+    """Every side a certificate reports for a graph holds, for k = 0..5, on
+    all trees up to 12 vertices, ternary_tree(1..3) and every graph of
+    enumerate_graphs(4, 3).
+
+    ternary_tree(3) is past the width solvers' 16-vertex cap, so its values
+    come from theory: a tree with an edge has treewidth 1, and
+    ternary_tree(m) has pathwidth m // 2 + 1.
+    """
+    real = universal.p_of_collection
+    values = {}
+
+    def once(coll, g):
+        # approximate reads the value once per k; scan each graph once
+        if (coll.name, g) not in values:
+            values[coll.name, g] = real(coll, g)
+        return values[coll.name, g]
+
+    monkeypatch.setattr(universal, "p_of_collection", once)
+    graphs = [(g, {}) for g in tree_corpus(12)]
+    graphs += [(ternary_tree(1), {}), (ternary_tree(2), {}),
+               (ternary_tree(3), {"treewidth": 1, "pathwidth": 2})]
+    graphs += [(g, {}) for g in enumerate_graphs(4, 3)]
+    assert len(graphs) == 988 + 3 + 302
+    broken = []
+    for name, cert in CERTIFICATES.items():
+        for g, known in graphs:
+            sides = cert.certified_sides(g)
+            if not sides:
+                continue
+            exact = known.get(cert.kind.tag)
+            if exact is None:
+                exact = parameter_value(cert.kind, g)
+            for k in range(6):
+                v = approximate(cert.collection, cert.gap, g, k)
+                if (v.kind == "ABOVE" and "above" in sides and exact <= k
+                        or v.kind == "AT_MOST" and "at_most" in sides
+                        and exact > v.bound):
+                    broken.append((name, g, k, str(v), exact))
+    assert broken == []
 
 
 def test_certificates_name_their_corpora():
@@ -296,7 +324,8 @@ def test_corpora_are_deterministic_and_sized():
 
 
 def test_collection_spec_roundtrip():
-    text = format_collection_spec(BLOCK_COLLECTION)
+    text = ('{"name": "apex-trees-and-duals", "relation": "minor", "families": '
+            '["ternary_tree_apex", "ternary_tree_apex_dual"]}')
     again = parse_collection_spec(text)
     assert again == BLOCK_COLLECTION
     with pytest.raises(ValueError):
