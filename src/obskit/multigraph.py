@@ -14,7 +14,8 @@ solvers, obstruction scans) relies on three guarantees made here:
   reached it.
 
 One private grower, `_grow_closed`, grows closed classes for both the
-obstruction scan and the omnivore construction.
+obstruction scan and the omnivore construction, and one blocks routine,
+`_block_sets`, serves both the outerplanarity test and `bi_pathwidth`.
 """
 from __future__ import annotations
 
@@ -470,6 +471,52 @@ def _forest(g: MultiGraph, gone: int = 0) -> bool:
         left &= ~_component_mask(low.bit_length() - 1, allowed, nmask)
         components += 1
     return edges == allowed.bit_count() - components
+
+
+def _block_sets(g: MultiGraph) -> list[frozenset[int]]:
+    """Vertex sets of the blocks of g's simplification that carry an edge:
+    its 2-connected pieces and its bridges (isolated vertices are left out).
+
+    Tarjan's lowpoint search, depth first from each unvisited vertex in
+    label order: a tree edge (u, v) closes a block when nothing below v
+    reaches above u, and the block is the edges stacked since (u, v).
+    """
+    adj = g.adj
+    depth = [-1] * g.n
+    low = [0] * g.n
+    out: list[frozenset[int]] = []
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        edges: list[tuple[int, int]] = []
+        path = [(root, -1, iter(adj[root]))]
+        while path:
+            v, parent, nbrs = path[-1]
+            for w in nbrs:
+                if depth[w] < 0:
+                    depth[w] = low[w] = depth[v] + 1
+                    edges.append((v, w))
+                    path.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and depth[w] < depth[v]:
+                    low[v] = min(low[v], depth[w])
+                    edges.append((v, w))
+            else:
+                path.pop()
+                if not path:
+                    continue
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= depth[u]:
+                    block: set[int] = set()
+                    while True:
+                        a, b = edges.pop()
+                        block.update((a, b))
+                        if (a, b) == (u, v):
+                            break
+                    out.append(frozenset(block))
+    return out
 
 
 def tree_code(g: MultiGraph) -> str | None:

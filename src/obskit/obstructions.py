@@ -28,8 +28,9 @@ counterexample aborts the scan rather than producing a garbage antichain.
 
 The forest predicates run on every scanned graph and every reduction, so
 they share `multigraph._forest`, a count of edges against components on
-neighbour masks.  Only outerplanarity goes through networkx's planarity
-test, and only for graphs that are neither forests nor too dense.
+neighbour masks.  Outerplanarity runs natively too: a Hamiltonian-cycle
+search on each block (`multigraph._block_sets`), and only for graphs that
+are neither forests nor too dense.
 """
 from __future__ import annotations
 
@@ -38,10 +39,9 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-import networkx as nx
-
 from .multigraph import (
     MultiGraph,
+    _block_sets,
     _check_enum_budget,
     _forest,
     _grow_closed,
@@ -163,22 +163,62 @@ def is_forest(g) -> bool:
 
 
 def is_outerplanar(g) -> bool:
-    """Planar with every vertex on one face: adding a universal vertex must
-    keep the graph planar.  Equivalent to excluding K4 and K_{2,3} as minors,
-    which is exactly what the obstruction scan recovers.
+    """Drawable with every vertex on the outer face.  Equivalent to
+    excluding K4 and K_{2,3} as minors, which is exactly what the
+    obstruction scan recovers.
 
     Two exact exits come first: a forest is outerplanar, and an
     outerplanar graph on n >= 2 vertices (as every non-forest is) has at
-    most 2n - 3 adjacent pairs."""
+    most 2n - 3 adjacent pairs.  Otherwise the graph is outerplanar exactly
+    when each of its blocks is (`_outerplanar_block`)."""
     if _forest(g):
         return True
     if len(g.edges) > 2 * g.n - 3:
         return False
-    H = nx.Graph()
-    H.add_nodes_from(range(g.n + 1))
-    H.add_edges_from((u, v) for u, v, _ in g.edges)
-    H.add_edges_from((g.n, v) for v in range(g.n))
-    return nx.check_planarity(H, counterexample=False)[0]
+    return all(_outerplanar_block(g, block) for block in _block_sets(g)
+               if len(block) > 2)
+
+
+def _outerplanar_block(g, block: frozenset[int]) -> bool:
+    """Whether the 2-connected block of g on these vertices is outerplanar.
+
+    Such a block is outerplanar exactly when it has at most 2k - 3 edges on
+    its k vertices and a Hamiltonian cycle whose chords pairwise do not
+    cross: that cycle is the outer face, the chords are drawn inside it.
+    An outerplanar 2-connected graph has only the one Hamiltonian cycle,
+    so the first cycle the search finds decides.
+    """
+    edges = [(u, v) for u, v, _ in g.edges if u in block and v in block]
+    if len(edges) > 2 * len(block) - 3:
+        return False
+    inside = sum(1 << v for v in block)
+    nmask = g.neighbor_masks
+    start = min(block)
+    cycle = [start]
+
+    def extend(v: int, seen: int) -> bool:
+        if seen == inside:
+            return nmask[v] >> start & 1 == 1
+        free = nmask[v] & inside & ~seen
+        while free:
+            low = free & -free
+            w = low.bit_length() - 1
+            cycle.append(w)
+            if extend(w, seen | low):
+                return True
+            cycle.pop()
+            free ^= low
+        return False
+
+    if not extend(start, 1 << start):
+        return False
+    pos = {v: i for i, v in enumerate(cycle)}
+    chords = []
+    for u, v in edges:
+        a, b = sorted((pos[u], pos[v]))
+        if b - a not in (1, len(cycle) - 1):
+            chords.append((a, b))
+    return not any(a < c < b < d for a, b in chords for c, d in chords)
 
 
 def is_apex_forest(g) -> bool:

@@ -34,10 +34,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
-
-from .multigraph import (BudgetExceededError, MultiGraph, _component_mask,
-                         delete_vertex)
+from .multigraph import (BudgetExceededError, MultiGraph, _block_sets,
+                         _component_mask, delete_vertex)
 from .relations import Relation, contains
 
 MAX_TREEWIDTH_VERTICES = 16
@@ -312,21 +310,14 @@ def _blocks(g: MultiGraph) -> list[MultiGraph]:
     """Blocks of the simplified graph: 2-connected pieces, bridges, and
     isolated vertices, each relabeled to its own vertex range."""
     g = g.simplify()
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from((u, v) for u, v, _ in g.edges)
     out = []
-    covered: set[int] = set()
-    for comp in nx.biconnected_components(G):
-        vs = sorted(comp)
-        covered.update(vs)
+    for block in _block_sets(g):
+        vs = sorted(block)
         pos = {v: i for i, v in enumerate(vs)}
         edges = [(pos[u], pos[v]) for u, v, _ in g.edges
-                 if u in comp and v in comp]
+                 if u in block and v in block]
         out.append(MultiGraph.build(len(vs), edges))
-    for v in range(g.n):
-        if v not in covered:
-            out.append(MultiGraph(1))
+    out.extend(MultiGraph(1) for d in g.degrees if d == 0)
     return out
 
 

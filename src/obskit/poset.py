@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 
 @dataclass(frozen=True)
 class FinitePoset:
@@ -173,6 +171,8 @@ def _dilworth(p: FinitePoset) -> list[list[int]]:
     in the cover form an antichain as large as the chain count, so both are
     optimal by weak duality (Fulkerson 1956).
     """
+    import networkx as nx   # only here, so loading obskit does not load it
+
     _check_size(len(p))
     n = len(p)
     # left copy i is node i and right copy j is node n + j: integer nodes

@@ -8,11 +8,15 @@ order; the latter two only add a routing step for the pattern's edge units
 once every vertex is placed.  Immersion routing prunes on residual room:
 a path may pass through a host vertex only while the unused capacity left
 there covers the units still to be routed at it, a necessary condition
-that never changes an answer.  Minor queries first try the subgraph
-shortcut, then walk down the host's single-step reductions with `_walk`.
-The walk visits each (normalized) minor class of the host at most once,
-which bounds the cost of a negative answer; under lifts, the same walk is
-the immersion oracle `immersion_by_liftings`.  Pattern and host sizes
+that never changes an answer.  Minor queries take three steps (see
+`_minor`): the subgraph shortcut; then, on simple hosts of at least eight
+vertices after reduction, the topological-minor routing capped at a fixed
+number of steps, whose positive answer is a minor model and whose
+completed negative answer is exact for patterns of maximum degree at most
+3; then a walk down the host's single-step reductions with `_walk`.  The
+walk visits each (normalized) minor class of the host at most once, which
+bounds the cost of a negative answer; under lifts, the same walk is the
+immersion oracle `immersion_by_liftings`.  Pattern and host sizes
 are capped (8 and 16 vertices by default); callers that know their
 instance is tractable may raise the caps explicitly.  Oversized patterns
 are rejected by the trivial size comparison before the cap applies, and
@@ -48,6 +52,7 @@ Every CLI-facing report records which mode was in force.
 from __future__ import annotations
 
 from enum import Enum
+from math import inf
 from time import monotonic
 
 from .multigraph import (
@@ -67,6 +72,11 @@ DEFAULT_MAX_HOST = 16
 #: state cap of the lifting walks of `immersion_reachable_set` and
 #: `immersion_by_liftings`
 _ORACLE_MAX_STATES = 500000
+#: steps the routing try of `_minor` may take before it gives way to the walk
+_ROUTING_STEPS = 20_000
+#: smallest reduced host on which `_minor` tries routing; on smaller hosts
+#: the walk has few classes to visit and costs less than the routing search
+_ROUTING_MIN_HOST = 8
 
 
 class Relation(str, Enum):
@@ -107,17 +117,23 @@ def default_mode(relation: Relation) -> Mode:
     return Mode.MULTI
 
 
+class _StepCeiling(Exception):
+    """A `_Deadline`'s step ceiling was passed; the searcher moves on."""
+
+
 class _Deadline:
     """Cooperative wall-clock cutoff; check() reads the clock on every call,
     which costs far less than one search step, and counts the steps that
-    passed it."""
+    passed it.  A search may also set a step `ceiling`, past which check()
+    raises `_StepCeiling` instead of going on."""
 
-    __slots__ = ("budget_ms", "until", "steps")
+    __slots__ = ("budget_ms", "until", "steps", "ceiling")
 
     def __init__(self, budget_ms: float | None):
         self.budget_ms = budget_ms
         self.until = None if budget_ms is None else monotonic() + budget_ms / 1000.0
         self.steps = 0
+        self.ceiling = inf
 
     def check(self):
         if self.until is not None and monotonic() > self.until:
@@ -128,6 +144,8 @@ class _Deadline:
                  "elapsed_ms": round(self.budget_ms + late_ms, 1),
                  "steps": self.steps})
         self.steps += 1
+        if self.steps > self.ceiling:
+            raise _StepCeiling
 
 
 def _embed_order(h: MultiGraph) -> list[int]:
@@ -253,14 +271,41 @@ def _walk(g: MultiGraph, rel: Relation, mode: Mode, floor: tuple[int, int],
 
 
 def _minor(g: MultiGraph, h: MultiGraph, dl: _Deadline, multi: bool = False) -> bool:
-    """The subgraph shortcut, then a walk down the host's minor classes.
+    """The subgraph shortcut, then a capped routing try, then a walk down
+    the host's minor classes.
 
-    Unlike a direct model search, the cost of a negative answer is bounded
-    by the number of distinct (normalized) minor classes of the host, which
-    stays small for sparse hosts.
+    1. A subgraph embedding is a minor model.
+    2. In simple mode, on a reduced host of at least `_ROUTING_MIN_HOST`
+       vertices, `_topological` searches for a topological minor under a
+       ceiling of `_ROUTING_STEPS` steps on the query's own deadline.  A
+       routing found is a minor model, so it answers True.  If h has
+       maximum degree at most 3, h is a minor of g exactly when it is a
+       topological minor of g (Diestel, Graph Theory, 1.7), so a search
+       that ends under the ceiling answers False.  The host has been
+       through `_reduce_host`, which keeps both relations unchanged.  On
+       smaller hosts the walk is cheaper than routing, so the try is
+       skipped there.
+    3. Otherwise the walk decides.  Unlike a direct model search, the cost
+       of a negative answer is bounded by the number of distinct
+       (normalized) minor classes of the host, which stays small for
+       sparse hosts.
+
+    All three steps count on the same deadline, so a budget error reports
+    every step taken.
     """
     if _embed(g, h, dl):
         return True
+    if not multi and g.n >= _ROUTING_MIN_HOST:
+        dl.ceiling = dl.steps + _ROUTING_STEPS
+        try:
+            if _topological(g, h, dl):
+                return True
+            if max(h.edge_degrees, default=0) <= 3:
+                return False
+        except _StepCeiling:
+            pass
+        finally:
+            dl.ceiling = inf
     hkey = canonical_form(h)
     mode = Mode.MULTI if multi else Mode.SIMPLE
     return any(c == hkey for c in _walk(

@@ -283,7 +283,7 @@ def theta_star_corpus(k_max=7):
 
 def tree_corpus(n_max=9):
     """All trees up to n_max vertices, plus the empty and one-vertex graphs."""
-    import networkx as nx
+    import networkx as nx   # only here, so loading obskit does not load it
     out = [MultiGraph(0), MultiGraph(1)]
     for n in range(2, n_max + 1):
         for t in nx.nonisomorphic_trees(n):

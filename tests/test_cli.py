@@ -332,6 +332,28 @@ def test_module_entry_point_runs_as_subprocess():
     assert json.loads(proc.stdout)["width"] == 3
 
 
+def test_loading_obskit_leaves_networkx_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import obskit
+    # networkx costs the load path memory and time; the few functions that
+    # still use it import it themselves
+    src = str(Path(obskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, obskit.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'networkx'))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_poset_chains_do_not_depend_on_the_hash_seed(files):
     import os
     import random

@@ -28,6 +28,7 @@ from obskit.multigraph import (
     subdivide_edge,
     to_graph6,
     tree_code,
+    _block_sets,
     _canonical_bytes,
     _grow_closed,
     _layer,
@@ -370,6 +371,20 @@ def test_enumeration_budget_guard():
         list(enumerate_graphs(3, 0))
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         list(enumerate_graphs(-1, 0))
+
+
+def test_block_sets_match_networkx_biconnected_components():
+    import networkx as nx
+
+    graphs = [*enumerate_graphs(7, 1), *enumerate_graphs(5, 2)]
+    assert len(graphs) == 2126
+    for g in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from((u, v) for u, v, _ in g.edges)
+        blocks = _block_sets(g)
+        assert len(blocks) == len(set(blocks))
+        assert set(blocks) == set(map(frozenset, nx.biconnected_components(G)))
 
 
 # -- serialization -----------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from obskit.multigraph import (BudgetExceededError, MultiGraph, canonical_form,
                                copies, enumerate_graphs, _component_mask)
+from obskit import relations
 from obskit.families import (
     complete,
     complete_bipartite,
@@ -13,6 +14,7 @@ from obskit.families import (
     grid,
     path,
     star,
+    ternary_tree_apex,
     ternary_tree_apex_dual,
     theta,
 )
@@ -117,7 +119,9 @@ def test_budgets_raise_on_time_with_the_time_spent():
     assert time.monotonic() - start < 0.55
     assert info.value.detail["budget_ms"] == 500
     assert info.value.detail["elapsed_ms"] >= 500
-    assert info.value.detail["steps"] > 0
+    # K_{2,3} is subcubic, so only a routing try cut off at its ceiling
+    # leaves the query to the walk: the steps count both on one deadline
+    assert info.value.detail["steps"] > relations._ROUTING_STEPS
 
 
 def test_size_caps_guard_the_search():
@@ -136,6 +140,43 @@ def test_degree_bounded_hosts_shortcut_stays_correct():
     assert not contains(Relation.TOPOLOGICAL_MINOR, K14, path(30))
     assert not contains(Relation.IMMERSION, star(3), path(25))
     assert not contains(Relation.MINOR, K3, path(100))
+
+
+def test_routed_minor_path_matches_the_walk(monkeypatch):
+    # hosts on 8 vertices with minimum degree 2 keep their size under
+    # `_reduce_host`, so the routing try runs on them
+    patterns = list(enumerate_graphs(5, 1))
+    hosts = [g for g in enumerate_graphs(8, 1) if g.n == 8
+             and min(g.degrees) >= 2 and len(g.edges) <= 14][::300]
+    routing = relations._topological
+    tries = []
+
+    def counted(g, h, dl):
+        tries.append(h)
+        return routing(g, h, dl)
+
+    monkeypatch.setattr(relations, "_topological", counted)
+    routed = [[contains(Relation.MINOR, h, g) for h in patterns] for g in hosts]
+    assert len(hosts) == 10 and len(tries) > 50
+    assert any(max(h.degrees) > 3 for h in tries)
+    monkeypatch.setattr(relations, "_ROUTING_MIN_HOST", 10 ** 9)
+    walked = [[contains(Relation.MINOR, h, g) for h in patterns] for g in hosts]
+    assert routed == walked
+
+
+def test_routing_alone_settles_a_positive_and_a_subcubic_negative(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(relations, "_walk", no_walk)
+    # fan6 has a degree-5 hub, so only a positive routing answers it
+    assert contains(Relation.MINOR, fan(6), ternary_tree_apex(2))
+    # two triangles joined by an edge, against a sparse 8-vertex host
+    two_triangles = MultiGraph.build(
+        6, [(0, 3), (0, 5), (1, 2), (1, 4), (2, 4), (3, 5), (4, 5)])
+    host = MultiGraph.build(8, [(0, 5), (0, 6), (1, 3), (1, 6), (2, 4), (2, 5),
+                                (2, 6), (3, 5), (4, 7), (5, 7)])
+    assert not contains(Relation.MINOR, two_triangles, host)
 
 
 def test_tree_minor_fast_path_matches_search():
