@@ -1,7 +1,7 @@
 """Run alternating parent/change pairs of the benchmark and record them.
 
     python3 scripts/ab_pairs.py --parent DIR --change DIR --parent-commit SHA \
-        --first-seed 1001 --pairs 10 --claim contain_stream:wall_s \
+        --first-seed 1001 --pairs 10 [--claim contain_stream:wall_s] \
         --note "what the change does" --out BENCH_10.json
 
 DIR is an exported tree (for example `git archive REV | tar -x -C DIR`)
@@ -14,7 +14,9 @@ median and quartiles (inclusive method), the change/parent ratio of the
 medians, the number of pairs the change wins by the metric's direction,
 the failed operations, and the machine.  Units, directions and bounds come
 from the same `BENCHMARK.json`.  One line per run goes to stderr as it
-finishes.
+finishes.  `--claim` names the workload and end-to-end metric the change
+claims a gain on; it is checked against `BENCHMARK.json` before the first
+run, and left out (recorded as null) when the change claims none.
 """
 from __future__ import annotations
 
@@ -93,7 +95,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent-commit", required=True)
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
     ap.add_argument("--note", required=True, help="one line on what the change does")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
@@ -102,6 +104,14 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    claim = None
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in workloads or \
+                metric not in [m["name"] for m in spec["end_to_end"]]:
+            ap.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC for a workload "
+                     "and an end-to-end metric of BENCHMARK.json")
+        claim = {"workload": workload, "metric": metric}
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {}
@@ -118,7 +128,6 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
         record[w] = workload_record(spec, seeds, results)
 
-    claim_workload, claim_metric = args.claim.split(":")
     out = {
         "change": args.note,
         "parent_commit": args.parent_commit,
@@ -130,7 +139,7 @@ def main(argv=None) -> int:
         "statistics": f"median and quartiles (inclusive method) of the {args.pairs} "
                       "runs per side; change_wins counts pairs where the change is "
                       "better by the metric's direction",
-        "claim": {"workload": claim_workload, "metric": claim_metric},
+        "claim": claim,
         "machine": machine(),
         "workloads": record,
     }

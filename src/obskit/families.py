@@ -9,11 +9,13 @@ Conventions pinned here and relied on by fixtures elsewhere:
   BFS order, children left to right, which makes ternary_tree(k) the
   labeled prefix of ternary_tree(k+1).
 * ternary_tree_apex_dual fixes one drawing of the apex tree (children left
-  to right, apex in the outer face below the leaves), reads the faces off
-  that rotation system, builds the dual from face adjacency, and finally
-  subdivides one edge of every parallel pair so the result is simple.
-  Face labels sort by boundary edge lists, subdivision vertices append in
-  sorted order of their endpoint pairs; the labeling is deterministic.
+  to right, apex in the outer face below the leaves).  Its faces have a
+  closed form, one per pair of cyclically consecutive leaves; Euler's
+  formula counts E - V + 2 = L faces for L leaves, so there are no others.
+  The dual is built from face adjacency, and one edge of every parallel
+  pair is subdivided so the result is simple.  Face labels sort by
+  boundary edge lists, subdivision vertices append in sorted order of
+  their endpoint pairs; the labeling is deterministic.
 * A family's growth is measured as vertices plus edge units, so the theta
   family (two vertices, growing multiplicity) still counts as strictly
   growing.
@@ -143,131 +145,68 @@ def ternary_tree_apex(k: int) -> MultiGraph:
     return MultiGraph.build(n + 1, edges)
 
 
-def _apex_rotation(k: int):
-    """Cyclic neighbor orders realizing the fixed drawing: root at the top,
-    children left to right, apex below the leaves in the outer face."""
-    levels, children = _ternary_levels(k)
-    parent = {c: p for p, cs in children.items() for c in cs}
-    apex = sum(len(l) for l in levels)
-    rot: dict[int, tuple[int, ...]] = {0: tuple(children[0])}
-    for depth in range(1, k):
-        for v in levels[depth]:
-            rot[v] = (parent[v], children[v][0], children[v][1])
-    for leaf in levels[k]:
-        rot[leaf] = (parent[leaf], apex)
-    rot[apex] = tuple(reversed(levels[k]))
-    return rot, levels, children, apex
+def _apex_faces(k: int):
+    """The faces of the fixed drawing of ternary_tree_apex(k).
 
-
-def _trace_faces(rot: dict[int, tuple[int, ...]]):
-    """Orbits of the dart successor map; for a planar rotation system these
-    are exactly the faces of the drawing."""
-    nxt = {}
-    for v, ring in rot.items():
-        d = len(ring)
-        for i, u in enumerate(ring):
-            nxt[(u, v)] = (v, ring[(i + 1) % d])
-    faces, seen = [], set()
-    for dart in sorted(nxt):
-        if dart in seen:
-            continue
-        walk, cur = [], dart
-        while cur not in seen:
-            seen.add(cur)
-            walk.append(cur)
-            cur = nxt[cur]
-        faces.append(tuple(walk))
-    return faces
-
-
-def _apex_dual_labeled(k: int) -> dict:
+    With the leaves left to right and the last wrapping round to the first,
+    the face after leaf x is bounded by the apex edges of x and of the next
+    leaf y and by the tree path from x to y, the symmetric difference of
+    their root paths.  Returns the faces (sorted edge tuples, sorted), the
+    labels of the faces after and before each leaf, the leaves in sorted
+    order of those two labels (the two faces share the leaf's apex and
+    parent edges), and the children map.
+    """
     if k < 2:
         raise ValueError("apex dual index starts at 2")
-    host = ternary_tree_apex(k)
-    rot, levels, children, apex = _apex_rotation(k)
-    raw = _trace_faces(rot)
-    if host.n - host.edge_count + len(raw) != 2:
-        raise AssertionError("the fixed rotation system stopped being planar")
-    bounds = [sorted(tuple(sorted(d)) for d in f) for f in raw]
-    order = sorted(range(len(raw)), key=lambda i: bounds[i])
-    bounds = [bounds[i] for i in order]
-    n_faces = len(bounds)
+    levels, children = _ternary_levels(k)
+    leaves, apex = levels[k], sum(len(l) for l in levels)
+    parent = {c: p for p, cs in children.items() for c in cs}
 
-    at: dict[tuple[int, int], list[int]] = {}
-    for i, es in enumerate(bounds):
-        for e in set(es):
-            at.setdefault(e, []).append(i)
-    if any(len(fs) != 2 for fs in at.values()):
-        raise AssertionError("an edge failed to separate two distinct faces")
+    def root_path(v: int) -> set[tuple[int, int]]:
+        edges = set()
+        while v:
+            edges.add((parent[v], v))
+            v = parent[v]
+        return edges
 
-    pairs: dict[tuple[int, int], int] = {}
-    for fs in at.values():
-        key = (min(fs), max(fs))
-        pairs[key] = pairs.get(key, 0) + 1
-    if any(m > 2 for m in pairs.values()):
-        raise AssertionError("a face pair shares more than two edges")
-
-    leaf_pairs = []
-    for es in bounds:
-        touching = sorted(e for e in set(es) if apex in e)
-        if len(touching) != 2:
-            raise AssertionError("every face must meet the apex exactly twice")
-        leaf_pairs.append(frozenset(v for e in touching for v in e if v != apex))
-
-    doubles = sorted(key for key, m in pairs.items() if m == 2)
-    edges = list(pairs)
-    for idx, (i, j) in enumerate(doubles):
-        s = n_faces + idx
-        edges += [(i, s), (s, j)]
-    graph = MultiGraph.build(n_faces + len(doubles), edges)
-    return {
-        "graph": graph,
-        "n_faces": n_faces,
-        "leaf_pairs": leaf_pairs,
-        "doubles": doubles,
-        "leaves": levels[k],
-        "children": children,
-    }
+    nxt = leaves[1:] + leaves[:1]
+    rings = [tuple(sorted((root_path(x) ^ root_path(y)) | {(x, apex), (y, apex)}))
+             for x, y in zip(leaves, nxt)]
+    faces = sorted(rings)
+    label = {ring: i for i, ring in enumerate(faces)}
+    after = {x: label[ring] for x, ring in zip(leaves, rings)}
+    before = {y: after[x] for x, y in zip(leaves, nxt)}
+    subdivided = sorted(leaves, key=lambda x: sorted((before[x], after[x])))
+    return faces, after, before, subdivided, children
 
 
 def ternary_tree_apex_dual(k: int) -> MultiGraph:
-    return _apex_dual_labeled(k)["graph"]
+    """One dual vertex per face and one dual edge per shared primal edge;
+    each leaf's parallel pair is subdivided, in sorted order of the pairs."""
+    faces, after, before, subdivided, _ = _apex_faces(k)
+    at: dict[tuple[int, int], list[int]] = {}
+    for i, face in enumerate(faces):
+        for e in face:
+            at.setdefault(e, []).append(i)
+    edges = {tuple(fs) for fs in at.values()}
+    for s, x in enumerate(subdivided, start=len(faces)):
+        edges |= {(before[x], s), (s, after[x])}
+    return MultiGraph.build(len(faces) + len(subdivided), edges)
 
 
 def apex_dual_nesting_model(k: int) -> tuple[frozenset[int], ...]:
     """Branch sets embedding ternary_tree_apex_dual(k) into the next index.
 
-    Faces correspond along the construction: the face between consecutive
-    leaves x, y reappears between the last child of x and the first child
-    of y, the outer face stays outer, and the subdivision vertex of a
-    parallel pair maps to the new face between the two children of the
-    leaf those faces share.  All branch sets are singletons.
+    The face after leaf x, between x and the next leaf y, reappears between
+    the last child of x and the first child of y, that is after the last
+    child of x; the subdivision vertex at leaf x maps to the new face
+    between the two children of x.  All branch sets are singletons.
     """
-    small = _apex_dual_labeled(k)
-    big = _apex_dual_labeled(k + 1)
-    kids = big["children"]
-    leaves = small["leaves"]
-    pos = {l: i for i, l in enumerate(leaves)}
-    outer_pair = frozenset((leaves[0], leaves[-1]))
-    by_pair = {p: i for i, p in enumerate(big["leaf_pairs"])}
-
-    def face_target(pair: frozenset[int]) -> int:
-        if pair == outer_pair:
-            x, y = leaves[0], leaves[-1]
-            return by_pair[frozenset((min(kids[x]), max(kids[y])))]
-        x, y = sorted(pair, key=pos.__getitem__)
-        return by_pair[frozenset((max(kids[x]), min(kids[y])))]
-
-    model = [face_target(p) for p in small["leaf_pairs"]]
-    for i, j in small["doubles"]:
-        shared = small["leaf_pairs"][i] & small["leaf_pairs"][j]
-        if len(shared) != 1:
-            raise AssertionError("parallel faces must share exactly one leaf")
-        (leaf,) = shared
-        model.append(by_pair[frozenset(kids[leaf])])
-    if len(set(model)) != len(model):
-        raise AssertionError("face correspondence produced a collision")
-    return tuple(frozenset((v,)) for v in model)
+    _, after, _, subdivided, _ = _apex_faces(k)
+    _, big_after, _, _, kids = _apex_faces(k + 1)
+    targets = [big_after[kids[x][-1]] for x in sorted(after, key=after.get)]
+    targets += [big_after[kids[x][0]] for x in subdivided]
+    return tuple(frozenset((v,)) for v in targets)
 
 
 # -- parametric families ---------------------------------------------------------

@@ -251,31 +251,6 @@ def lift_pair(g: MultiGraph, x: int, y: int, z: int) -> MultiGraph:
     return MultiGraph.build(g.n, items)
 
 
-def subdivide_edge(g: MultiGraph, u: int, v: int) -> MultiGraph:
-    """Replace one unit of uv by a path through a fresh vertex n."""
-    if g.multiplicity(u, v) == 0:
-        raise ValueError(f"no edge ({u},{v})")
-    h = delete_edge(g, u, v)
-    w = g.n
-    items = list(h.edges) + [(u, w, 1), (v, w, 1)]
-    return MultiGraph.build(g.n + 1, items)
-
-
-def disjoint_union(a: MultiGraph, b: MultiGraph) -> MultiGraph:
-    edges = list(a.edges) + [(u + a.n, v + a.n, m) for u, v, m in b.edges]
-    return MultiGraph.build(a.n + b.n, edges)
-
-
-def copies(k: int, z: MultiGraph) -> MultiGraph:
-    """k disjoint copies of z (k >= 1)."""
-    if k < 1:
-        raise ValueError("need a positive number of copies")
-    out = z
-    for _ in range(k - 1):
-        out = disjoint_union(out, z)
-    return out
-
-
 # -- canonical forms -------------------------------------------------------
 
 def _mult_matrix(g: MultiGraph) -> list[list[int]]:
@@ -428,11 +403,6 @@ def _from_canonical(key: bytes, pool: dict | None = None) -> MultiGraph:
     g = MultiGraph(n, tuple(edges))
     g.__dict__["_canonical"] = key
     return g
-
-
-def relabel_canonically(g: MultiGraph) -> MultiGraph:
-    """An isomorphic copy whose labels follow the canonical order."""
-    return _from_canonical(canonical_form(g))
 
 
 def _component_mask(start: int, allowed: int, nmask: tuple[int, ...]) -> int:

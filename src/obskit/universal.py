@@ -151,8 +151,11 @@ def approximate(coll: PrimeCollection, gap: GapFunction, g, k) -> Verdict:
 
     If the collection value exceeds gap(k) the target parameter provably
     exceeds k (for a certificate whose upper side holds); otherwise the
-    target is at most gap(gap(k)) (for one whose lower side holds).
+    target is at most gap(gap(k)) (for one whose lower side holds).  The
+    gap is checked monotone only from 0, so k must be at least 0.
     """
+    if k < 0:
+        raise ValueError(f"approximate needs k >= 0, not {k}")
     p = p_of_collection(coll, g)
     if p > gap(k):
         return Verdict("ABOVE", k, p)

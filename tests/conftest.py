@@ -3,7 +3,8 @@ import random
 import networkx as nx
 from hypothesis import settings, strategies as st
 
-from obskit.multigraph import MultiGraph
+from obskit.multigraph import (MultiGraph, _from_canonical, canonical_form,
+                               delete_edge)
 
 # One profile for the whole suite: containment and layout solvers are too
 # spiky for the default deadline, and derandomizing keeps CI runs repeatable.
@@ -22,6 +23,36 @@ def multigraphs(draw, max_n=6, max_mult=1, min_n=0):
             if m:
                 edges.append((u, v, m))
     return MultiGraph(n, tuple(edges))
+
+
+def subdivide_edge(g, u, v):
+    """Replace one unit of uv by a path through a fresh vertex n."""
+    if g.multiplicity(u, v) == 0:
+        raise ValueError(f"no edge ({u},{v})")
+    h = delete_edge(g, u, v)
+    w = g.n
+    items = list(h.edges) + [(u, w, 1), (v, w, 1)]
+    return MultiGraph.build(g.n + 1, items)
+
+
+def disjoint_union(a, b):
+    edges = list(a.edges) + [(u + a.n, v + a.n, m) for u, v, m in b.edges]
+    return MultiGraph.build(a.n + b.n, edges)
+
+
+def copies(k, z):
+    """k disjoint copies of z (k >= 1)."""
+    if k < 1:
+        raise ValueError("need a positive number of copies")
+    out = z
+    for _ in range(k - 1):
+        out = disjoint_union(out, z)
+    return out
+
+
+def relabel_canonically(g):
+    """An isomorphic copy whose labels follow the canonical order."""
+    return _from_canonical(canonical_form(g))
 
 
 def relabel(g, perm):

@@ -13,7 +13,6 @@ from obskit.multigraph import (
     MultiGraph,
     canonical_form,
     contract_edge,
-    copies,
     delete_edge,
     delete_vertex,
     enumerate_graphs,
@@ -73,6 +72,8 @@ from obskit.universal import (
     mixed_corpus,
     p_of_collection,
 )
+
+from conftest import copies
 
 K3, K4 = complete(3), complete(4)
 K23 = complete_bipartite(2, 3)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import drop_one_matched_pair
 from obskit.cli import INTERNAL_EXIT, USAGE_EXIT, main
-from obskit.families import FAMILIES, complete, grid, star
+from obskit.families import FAMILIES, complete, grid, path, star
 from obskit.multigraph import format_graph_text, parse_graph_text, to_graph6
 from obskit.poset import FinitePoset, format_poset_text, rado_truncation
 from obskit.universal import CERTIFICATES, CORPORA
@@ -229,6 +229,16 @@ def test_universal_approx(capsys, files):
     assert (code, data["verdict"], data["certified_sides"]) == (0, "AT_MOST", [])
 
 
+def test_universal_approx_rejects_a_negative_k(capsys, files):
+    # the gaps are checked monotone only from 0: edge degree has gap(-3) = 10
+    g = files("g.txt", format_graph_text(path(3)))
+    for cert, k in (("edge_degree", "-3"), ("treewidth", "-5")):
+        code, out, err = run(capsys, "universal", "approx", "--certificate",
+                             cert, "--g", g, "--k", k)
+        assert (code, out) == (USAGE_EXIT, "")
+        assert f"needs --k >= 0, not {k}" in err
+
+
 def test_universal_gap_tsv(capsys):
     code, out, _ = run(capsys, "universal", "gap", "--certificate",
                        "edge_degree", "--format", "tsv")
@@ -395,3 +405,56 @@ def test_scripts_run_from_a_plain_checkout(script, tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+def _ab_pairs(monkeypatch):
+    """scripts/ab_pairs.py as a module, with every benchmark run faked."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
+    spec = importlib.util.spec_from_file_location("ab_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runs = []
+    bench = json.loads((path.parents[1] / "BENCHMARK.json").read_text())
+    line = {"correct": True, "failed": 0,
+            "metrics": {m["name"]: {"value": 1.0} for m in bench["end_to_end"]}}
+
+    def run_once(tree, workload, seed):
+        runs.append((workload, seed))
+        return line
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    return module, runs
+
+
+@pytest.mark.parametrize("claim", [
+    "width_survey", "no_such_workload:wall_s", "width_survey:no_such_metric",
+    "width_survey:wall_s:extra", ":wall_s"])
+def test_ab_pairs_rejects_a_bad_claim_before_any_run(claim, monkeypatch, tmp_path,
+                                                     capsys):
+    ab_pairs, runs = _ab_pairs(monkeypatch)
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "ab.json"
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main(["--parent", str(root), "--change", str(root),
+                       "--parent-commit", "abc", "--first-seed", "1",
+                       "--pairs", "2", "--claim", claim, "--note", "n",
+                       "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+
+
+def test_ab_pairs_records_a_missing_claim_as_null(monkeypatch, tmp_path, capsys):
+    ab_pairs, runs = _ab_pairs(monkeypatch)
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "ab.json"
+    base = ["--parent", str(root), "--change", str(root), "--parent-commit", "abc",
+            "--first-seed", "1", "--pairs", "2", "--note", "n", "--out", str(out)]
+    assert ab_pairs.main(base) == 0
+    assert json.loads(out.read_text())["claim"] is None
+    assert len(runs) == 3 * 2 * 2
+    assert ab_pairs.main(base + ["--claim", "contain_stream:op_tail_ms"]) == 0
+    assert json.loads(out.read_text())["claim"] == {
+        "workload": "contain_stream", "metric": "op_tail_ms"}

@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 from obskit.multigraph import (
@@ -5,7 +8,6 @@ from obskit.multigraph import (
     MultiGraph,
     are_isomorphic,
     canonical_form,
-    copies,
     enumerate_graphs,
     format_graph_text,
 )
@@ -13,6 +15,7 @@ from obskit.families import (
     CLASS_SPECS,
     FAMILIES,
     ClassSpec,
+    _apex_faces,
     apex_dual_nesting_model,
     complete,
     complete_bipartite,
@@ -66,6 +69,58 @@ def test_apex_variants_sizes():
     # the dual nesting model certifies one step of containment
     assert verify_minor_model(td, ternary_tree_apex_dual(3),
                               apex_dual_nesting_model(2), mode=Mode.SIMPLE)
+
+
+#: sha256 prefixes of format_graph_text(ternary_tree_apex_dual(k))
+APEX_DUAL_SHA256 = {2: "974f02d31848eb51", 3: "a2088d7d0b95fb70",
+                    4: "a5204310503e6ad9", 5: "770d28460192b9b6"}
+
+#: apex_dual_nesting_model(k), one singleton branch set per vertex
+APEX_DUAL_NESTING = {
+    2: [0, 1, 2, 3, 4, 5, 7, 8, 6, 11, 9, 10],
+    3: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 12, 23, 19, 20, 13, 14,
+        17, 18, 21, 22],
+    4: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+        20, 21, 22, 23, 31, 32, 24, 47, 39, 40, 27, 28, 35, 36, 43, 44, 25, 26,
+        29, 30, 33, 34, 37, 38, 41, 42, 45, 46],
+}
+
+
+def test_apex_dual_and_its_nesting_model_are_pinned():
+    for k, digest in APEX_DUAL_SHA256.items():
+        text = format_graph_text(ternary_tree_apex_dual(k))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, k
+    for k, targets in APEX_DUAL_NESTING.items():
+        assert apex_dual_nesting_model(k) == tuple(frozenset((v,)) for v in targets)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_apex_faces_form_a_planar_drawing_and_its_dual(k):
+    host, dual = ternary_tree_apex(k), ternary_tree_apex_dual(k)
+    faces = _apex_faces(k)[0]
+    leaves = 3 * 2 ** (k - 1)
+    assert len(faces) == leaves
+    assert host.n - host.edge_count + len(faces) == 2
+    on = {}
+    for i, face in enumerate(faces):
+        for e in face:
+            on.setdefault(e, []).append(i)
+    assert sorted(on) == [(u, v) for u, v, _ in host.edges]
+    assert all(len(set(fs)) == len(fs) == 2 for fs in on.values())
+    # the face pairs that share two primal edges are the pairs beside a leaf,
+    # and exactly those are subdivided in the dual
+    shared = Counter(tuple(fs) for fs in on.values())
+    apex = host.n - 1
+    beside_leaf = {tuple(i for i, face in enumerate(faces) if (x, apex) in face)
+                   for x in range(apex - leaves, apex)}
+    assert {fs for fs, m in shared.items() if m == 2} == beside_leaf
+    assert max(shared.values()) == 2
+    assert dual.n == len(faces) + leaves
+    assert {tuple(sorted(dual.adj[s])) for s in range(len(faces), dual.n)} == beside_leaf
+    model = apex_dual_nesting_model(k)
+    assert len(set(model)) == len(model) == dual.n
+    assert verify_minor_model(dual, ternary_tree_apex_dual(k + 1), model,
+                              mode=Mode.SIMPLE)
 
 
 def test_growth_size_measure():

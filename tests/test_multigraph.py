@@ -12,10 +12,8 @@ from obskit.multigraph import (
     are_isomorphic,
     canonical_form,
     contract_edge,
-    copies,
     delete_edge,
     delete_vertex,
-    disjoint_union,
     enum_key,
     enumerate_graphs,
     format_graph_set,
@@ -24,8 +22,6 @@ from obskit.multigraph import (
     lift_pair,
     parse_graph_set,
     parse_graph_text,
-    relabel_canonically,
-    subdivide_edge,
     to_graph6,
     tree_code,
     _block_sets,
@@ -39,7 +35,8 @@ from obskit.families import (complete_bipartite, grid, ternary_tree_apex,
                              ternary_tree_apex_dual)
 from obskit.obstructions import is_forest
 
-from conftest import multigraphs, shuffled
+from conftest import (copies, disjoint_union, multigraphs, relabel_canonically,
+                      shuffled, subdivide_edge)
 
 
 def P(n):

@@ -2,8 +2,7 @@ import networkx as nx
 import pytest
 
 from obskit.multigraph import (BudgetExceededError, MultiGraph, _layer,
-                               canonical_form, copies, enumerate_graphs,
-                               tree_code)
+                               canonical_form, enumerate_graphs, tree_code)
 from obskit.families import complete, complete_bipartite, grid, path, star, theta
 from obskit.obstructions import (
     BUILTIN_CLASSES,
@@ -21,6 +20,8 @@ from obskit.obstructions import (
 from obskit.parameters import treewidth
 from obskit.relations import (Mode, Relation, _is_tree, _single_steps,
                               is_antichain)
+
+from conftest import copies
 
 K3, K4 = complete(3), complete(4)
 

@@ -20,9 +20,6 @@ TEST_ONLY = {
     "format_poset_text": "the writer that pins the poset parser the CLI uses",
     "format_class_spec": "the writer that pins the class-spec parser",
     "fan": "perfbench builds its fan patterns through it by name",
-    "copies": "builds the disjoint-copy patterns the containment tests pin",
-    "subdivide_edge": "checks contract_edge by a round trip",
-    "relabel_canonically": "checks that enumerated graphs carry canonical labels",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obskit.multigraph import (BudgetExceededError, MultiGraph, canonical_form,
-                               copies, enumerate_graphs, _component_mask)
+                               enumerate_graphs, _component_mask)
 from obskit import relations
 from obskit.families import (
     complete,
@@ -32,7 +32,7 @@ from obskit.relations import (
     verify_subgraph_map,
 )
 
-from conftest import multigraphs
+from conftest import copies, multigraphs
 
 K3, K4, K5 = complete(3), complete(4), complete(5)
 K23 = complete_bipartite(2, 3)

@@ -3,7 +3,7 @@ import pytest
 import obskit.universal as universal
 from hypothesis import given, settings
 
-from obskit.multigraph import MultiGraph, copies, enumerate_graphs
+from obskit.multigraph import MultiGraph, enumerate_graphs
 from obskit.families import (
     ParametricFamily,
     STAR_FAMILY,
@@ -41,7 +41,7 @@ from obskit.universal import (
     tree_corpus,
 )
 
-from conftest import multigraphs
+from conftest import copies, multigraphs
 
 K3, K4 = complete(3), complete(4)
 
@@ -219,6 +219,13 @@ def test_approximate_verdicts_pinned():
     assert (v.kind, v.bound) == ("AT_MOST", 101)
     v = approximate(cert.collection, cert.gap, star(6), 2)
     assert (v.kind, v.bound) == ("ABOVE", 2)
+
+
+def test_approximate_rejects_a_negative_k():
+    cert = CERTIFICATES["edge_degree"]
+    assert cert.gap(-3) > cert.gap(0)
+    with pytest.raises(ValueError, match="k >= 0"):
+        approximate(cert.collection, cert.gap, path(3), -1)
 
 
 def test_certificates_declare_their_sides():
