@@ -350,6 +350,8 @@ def _validate(args, parser):
             parser.error("universal approx needs --k")
         if args.action == "approx" and args.k < 0:
             parser.error(f"universal approx needs --k >= 0, not {args.k}")
+        if args.action != "approx" and args.k is not None:
+            parser.error(f"universal {args.action} takes no --k")
     if args.command == "poset" and args.action in ("width", "chains") \
             and not args.poset:
         parser.error(f"poset {args.action} needs --poset")

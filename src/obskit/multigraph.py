@@ -13,6 +13,11 @@ solvers, obstruction scans) relies on three guarantees made here:
   the representative depends only on the class, never on how enumeration
   reached it.
 
+One canonical search, `_canonical_search`, gives a graph's bytes together
+with generators of its automorphism group.  Enumeration keeps the
+generators of every class it meets and extends each parent once per orbit
+of attachments under them.
+
 One private grower, `_grow_closed`, grows closed classes for both the
 obstruction scan and the omnivore construction, and one blocks routine,
 `_block_sets`, serves both the outerplanarity test and `bi_pathwidth`.
@@ -168,7 +173,18 @@ class MultiGraph:
 
     @cached_property
     def _canonical(self) -> bytes:
-        return _canonical_bytes(self)
+        return _canonical_search(self)[0]
+
+    @cached_property
+    def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Generators of the automorphism group, in this graph's labels.
+
+        Enumeration seeds them; otherwise one canonical search of these
+        labels finds them, and fills `_canonical` on the way.
+        """
+        key, _, autos = _canonical_search(self)
+        self.__dict__.setdefault("_canonical", key)
+        return tuple(map(tuple, autos))
 
     def __repr__(self):
         return f"MultiGraph(n={self.n}, edges={list(self.edges)})"
@@ -283,9 +299,17 @@ def _stable_colors(n: int, mat: list[list[int]], colors: list[int]) -> list[int]
     return colors
 
 
-def _canonical_bytes(g: MultiGraph) -> bytes:
-    """The minimal adjacency encoding: n, then the lower triangle of the
-    multiplicity matrix row by row, over all admissible vertex orders.
+def _canonical_search(g: MultiGraph) -> tuple[bytes, list[int], list[list[int]]]:
+    """(bytes, order, automorphisms) of one canonical search of g.
+
+    The bytes are the minimal adjacency encoding: n, then the lower
+    triangle of the multiplicity matrix row by row, over all admissible
+    vertex orders.  `order` is the best order in g's labels: canonical
+    vertex i is g's vertex order[i].  Each automorphism is a list in g's
+    labels, vertex x to auto[x].  Together they generate g's automorphism
+    group: every order with the best encoding is an automorphism's image
+    of the best order, and a subtree is skipped only when the automorphisms
+    already found map it onto one explored.
 
     The search places vertices in blocks of the refined coloring (valid since
     refinement is isomorphism-invariant) and prunes on the partial encoding:
@@ -377,7 +401,7 @@ def _canonical_bytes(g: MultiGraph) -> bytes:
     dfs(0, False)
     if best_rows is None:
         raise AssertionError("canonical search placed no complete order; bug")
-    return bytes([n, *itertools.chain.from_iterable(best_rows)])
+    return bytes([n, *itertools.chain.from_iterable(best_rows)]), best_order, autos
 
 
 def canonical_form(g: MultiGraph) -> bytes:
@@ -385,12 +409,14 @@ def canonical_form(g: MultiGraph) -> bytes:
     return g._canonical
 
 
-def _from_canonical(key: bytes, pool: dict | None = None) -> MultiGraph:
+def _from_canonical(key: bytes, pool: dict | None = None,
+                    automorphisms: tuple | None = None) -> MultiGraph:
     """The graph of a canonical form, with canonical vertex i at label i.
 
-    The form is seeded as the graph's cached canonical form.  Equal edge
-    tuples are shared through `pool` when one is given, which keeps a layer
-    of thousands of decoded graphs small.
+    The form is seeded as the graph's cached canonical form, and
+    `automorphisms`, when given, as its automorphism generators (in
+    canonical labels).  Equal edge tuples are shared through `pool` when
+    one is given, which keeps a layer of thousands of decoded graphs small.
     """
     n = key[0]
     edges = []
@@ -402,6 +428,8 @@ def _from_canonical(key: bytes, pool: dict | None = None) -> MultiGraph:
                 edges.append(e if pool is None else pool.setdefault(e, e))
     g = MultiGraph(n, tuple(edges))
     g.__dict__["_canonical"] = key
+    if automorphisms is not None:
+        g.__dict__["_automorphisms"] = automorphisms
     return g
 
 
@@ -575,19 +603,46 @@ def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int) -> list[Mu
     vertices, that is every class on n vertices; when it is every member of
     a class closed under vertex deletion, it covers every member on n
     vertices, and `_grow_closed` sorts out which children are members.
+
+    Of the tuples that pass, one per orbit of the parent's automorphism
+    group is built and searched: the first in `itertools.product` order
+    (McKay's isomorph-free generation).  An automorphism σ of the parent
+    makes the children of t and of t∘σ isomorphic, and the degree test is
+    invariant under it, so the kept children cover the same classes.  Each
+    new class keeps its child's automorphisms, conjugated into canonical
+    labels, as the generators of its own extension.
     """
-    keys: set[bytes] = set()
+    found: dict[bytes, tuple] = {}
     for parent in layer:
         base = parent.edges
         ed, dg = parent.edge_degrees, parent.degrees
+        gens = parent._automorphisms
+        covered: set[tuple[int, ...]] = set()
         for attach in itertools.product(range(mult_max + 1), repeat=n - 1):
+            if attach in covered:
+                continue
             top = (sum(attach), n - 1 - attach.count(0))
             if any((ed[u] + m, dg[u] + (m > 0)) > top for u, m in enumerate(attach)):
                 continue
+            orbit = [attach]
+            covered.add(attach)
+            for t in orbit:
+                for sigma in gens:
+                    image = tuple(map(t.__getitem__, sigma))
+                    if image not in covered:
+                        covered.add(image)
+                        orbit.append(image)
             extra = tuple((u, n - 1, m) for u, m in enumerate(attach) if m > 0)
-            keys.add(canonical_form(MultiGraph(n, tuple(sorted(base + extra)))))
+            key, order, autos = _canonical_search(
+                MultiGraph(n, tuple(sorted(base + extra))))
+            if key not in found:
+                pos = [0] * n
+                for i, v in enumerate(order):
+                    pos[v] = i
+                found[key] = tuple(tuple(pos[a[v]] for v in order) for a in autos)
     pool: dict = {}
-    return sorted((_from_canonical(k, pool) for k in keys), key=enum_key)
+    return sorted((_from_canonical(key, pool, generators)
+                   for key, generators in found.items()), key=enum_key)
 
 
 @lru_cache(maxsize=128)

@@ -185,6 +185,19 @@ def test_flags_live_only_on_the_commands_that_use_them(capsys, files):
     assert "budget_ms" not in json.loads(out)["config"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("gap", "--certificate", "treewidth", "--k", "-2"),
+    ("gap", "--certificate", "treewidth", "--k", "2"),
+    ("eval", "--collection", "grids", "--k", "5"),
+], ids=["gap-negative", "gap", "eval"])
+def test_universal_k_lives_only_on_approx(capsys, files, argv):
+    g = files("g.txt", format_graph_text(grid(2)))
+    extra = ("--g", g) if argv[0] == "eval" else ()
+    code, out, err = run(capsys, "universal", *argv, *extra)
+    assert code == USAGE_EXIT and out == ""
+    assert f"universal {argv[0]} takes no --k" in err
+
+
 def test_obs_beyond_the_size_cap_fails_cleanly(capsys):
     code, out, err = run(capsys, "obs", "--class", "forests", "--nmax", "9")
     assert code == 1 and out == ""

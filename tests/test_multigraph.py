@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from obskit import multigraph
 from obskit.multigraph import (
     K0,
     MAX_MULTIPLICITY,
@@ -25,7 +26,9 @@ from obskit.multigraph import (
     to_graph6,
     tree_code,
     _block_sets,
-    _canonical_bytes,
+    _canonical_search,
+    _extend_layer,
+    _from_canonical,
     _grow_closed,
     _layer,
     _mult_matrix,
@@ -33,7 +36,8 @@ from obskit.multigraph import (
 )
 from obskit.families import (complete_bipartite, grid, ternary_tree_apex,
                              ternary_tree_apex_dual)
-from obskit.obstructions import is_forest
+from obskit.obstructions import BUILTIN_CLASSES, is_forest
+from obskit.verify import FIXTURE_BOUNDS
 
 from conftest import (copies, disjoint_union, multigraphs, relabel_canonically,
                       shuffled, subdivide_edge)
@@ -197,13 +201,13 @@ SYMMETRIC_GRAPHS = {
 
 def test_canonical_search_matches_brute_force_on_small_universe():
     for g in enumerate_graphs(5, 2):
-        assert _canonical_bytes(g) == _brute_force_canonical(g), g
+        assert _canonical_search(g)[0] == _brute_force_canonical(g), g
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
 def test_canonical_search_matches_brute_force_on_symmetric_graphs(name):
     g = SYMMETRIC_GRAPHS[name]
-    assert _canonical_bytes(g) == _brute_force_canonical(g)
+    assert _canonical_search(g)[0] == _brute_force_canonical(g)
 
 
 @pytest.mark.parametrize("g", [grid(3), ternary_tree_apex(2),
@@ -211,9 +215,9 @@ def test_canonical_search_matches_brute_force_on_symmetric_graphs(name):
                          ids=["grid3", "ternary_apex2", "ternary_apex_dual2",
                               "petersen"])
 def test_canonical_form_survives_relabelling_of_symmetric_families(g):
-    form = _canonical_bytes(g)
+    form = _canonical_search(g)[0]
     for seed in range(20):
-        assert _canonical_bytes(shuffled(g, seed)) == form
+        assert _canonical_search(shuffled(g, seed))[0] == form
 
 
 @given(multigraphs(max_n=6, max_mult=2))
@@ -293,7 +297,7 @@ def test_enumeration_matches_brute_force(n_max, mult_max):
 @pytest.mark.parametrize("n_max,mult_max", [(6, 1), (5, 2)])
 def test_enumerated_graphs_are_canonically_labelled(n_max, mult_max):
     for g in enumerate_graphs(n_max, mult_max):
-        assert _canonical_bytes(g) == canonical_form(g)
+        assert _canonical_search(g)[0] == canonical_form(g)
         assert relabel_canonically(g) == g
 
 
@@ -342,6 +346,124 @@ def test_grower_asks_the_predicate_once_per_class():
                for g in inside + outside]
     assert len(set(yielded)) == len(yielded)
     assert sorted(asked) == sorted(yielded)
+
+
+# -- automorphism generators and orbit-pruned extension ----------------------
+
+
+def _brute_force_automorphisms(g):
+    """Every automorphism of g, by backtracking over the images that keep
+    the multiplicities to the vertices already mapped."""
+    mat = _mult_matrix(g)
+    image = []
+
+    def extend(v):
+        if v == g.n:
+            yield tuple(image)
+            return
+        for w in range(g.n):
+            if w not in image and all(mat[v][u] == mat[w][image[u]]
+                                      for u in range(v)):
+                image.append(w)
+                yield from extend(v + 1)
+                image.pop()
+
+    return list(extend(0))
+
+
+def _orbits(n, perms):
+    """The vertex orbits of the group the permutations generate."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for p in perms:
+        for x in range(n):
+            root[find(x)] = find(p[x])
+    return {frozenset(v for v in range(n) if find(v) == r)
+            for r in set(map(find, range(n)))}
+
+
+def _passing_tuples(parent, mult_max):
+    """The attachment tuples whose new vertex has the largest (edge degree,
+    distinct neighbours) of the child."""
+    ed, dg = parent.edge_degrees, parent.degrees
+    out = []
+    for attach in itertools.product(range(mult_max + 1), repeat=parent.n):
+        top = (sum(attach), parent.n - attach.count(0))
+        if not any((ed[u] + m, dg[u] + (m > 0)) > top for u, m in enumerate(attach)):
+            out.append(attach)
+    return out
+
+
+def _extend_layer_by_search_per_tuple(layer, n, mult_max):
+    """The extension without orbits: one canonical form per passing tuple."""
+    keys = set()
+    for parent in layer:
+        for attach in _passing_tuples(parent, mult_max):
+            extra = tuple((u, n - 1, m) for u, m in enumerate(attach) if m > 0)
+            keys.add(canonical_form(MultiGraph(n, tuple(sorted(parent.edges + extra)))))
+    return sorted((_from_canonical(k) for k in keys), key=enum_key)
+
+
+ORBIT_GRAPHS = {**SYMMETRIC_GRAPHS, "petersen": _petersen()}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_GRAPHS))
+def test_search_generators_give_every_orbit_of_symmetric_graphs(name):
+    g = ORBIT_GRAPHS[name]
+    brute = _orbits(g.n, _brute_force_automorphisms(g))
+    assert _orbits(g.n, _canonical_search(g)[2]) == brute
+    assert _orbits(g.n, g._automorphisms) == brute
+
+
+@pytest.mark.parametrize("n_max,mult_max", [(6, 1), (5, 2)])
+def test_seeded_generators_are_automorphisms_giving_every_orbit(n_max, mult_max):
+    for g in enumerate_graphs(n_max, mult_max):
+        brute = _orbits(g.n, _brute_force_automorphisms(g))
+        assert _orbits(g.n, _canonical_search(g)[2]) == brute
+        assert g.n == 0 or "_automorphisms" in g.__dict__  # seeded by its layer
+        for sigma in g._automorphisms:
+            moved = MultiGraph.build(g.n, [(sigma[u], sigma[v], m)
+                                           for u, v, m in g.edges])
+            assert moved.edges == g.edges
+        assert _orbits(g.n, g._automorphisms) == brute
+
+
+@pytest.mark.parametrize("n_max,mult_max", [(6, 1), (5, 2)])
+def test_orbit_pruned_layers_match_one_search_per_tuple(n_max, mult_max):
+    for n in range(1, n_max + 1):
+        assert list(_layer(n, mult_max)) == _extend_layer_by_search_per_tuple(
+            _layer(n - 1, mult_max), n, mult_max)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CLASSES))
+def test_orbit_pruned_growth_matches_one_search_per_tuple(name):
+    member = BUILTIN_CLASSES[name][1]
+    n_max, mult_max = FIXTURE_BOUNDS[name]
+    for n, (inside, _) in enumerate(_grow_closed(member, n_max, mult_max)):
+        if n < n_max:
+            assert _extend_layer(inside, n + 1, mult_max) == \
+                _extend_layer_by_search_per_tuple(inside, n + 1, mult_max)
+
+
+def test_extension_searches_one_tuple_per_orbit(monkeypatch):
+    parents, children = _layer(5, 1), list(_layer(6, 1))
+    assert all("_automorphisms" in p.__dict__ for p in parents)
+    orbits = 0
+    for p in parents:
+        autos = _brute_force_automorphisms(p)
+        orbits += len({min(tuple(t[a[u]] for u in range(p.n)) for a in autos)
+                       for t in _passing_tuples(p, 1)})
+    searched = []
+    search = multigraph._canonical_search
+    monkeypatch.setattr(multigraph, "_canonical_search",
+                        lambda g: searched.append(g) or search(g))
+    assert _extend_layer(parents, 6, 1) == children
+    assert len(searched) == orbits < sum(len(_passing_tuples(p, 1)) for p in parents)
 
 
 def test_layers_are_memoized():
