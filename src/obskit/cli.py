@@ -5,7 +5,10 @@ mode, conventions) so saved outputs are self-describing.  JSON by default,
 TSV for tables; identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 domain error (bad input, budget), 2 verification
-failure, 64 usage error, 70 internal invariant failure.
+failure, 64 usage error, 70 internal invariant failure.  Usage errors
+include unknown certificate, collection, corpus, class and suite names, and
+any flag that the chosen action does not read: `universal` and `poset` take
+one parser per action, and flags follow the action word.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from .families import GRID_FAMILY, family_by_name
 from .multigraph import (BudgetExceededError, MultiGraph, format_graph_text,
                          from_graph6, parse_graph_text)
 from .obstructions import BUILTIN_CLASSES, compute_obstructions
-from .parameters import parse_kind, parameter_value, z_apex, z_apex_kind
+from .parameters import parse_kind, parameter_value, z_apex
 from .poset import (chain_partition, parse_poset_text, poset_width,
                     rado_star_antichain_witness, rado_truncation)
 from .relations import Mode, Relation, contains, default_mode, parse_relation
@@ -99,13 +102,13 @@ def cmd_contain(args) -> int:
 
 def cmd_param(args) -> int:
     g = read_graph_file(args.g)
-    if args.z:
-        z_list = [read_graph_file(p) for p in args.z]
-        kind = z_apex_kind(z_list)
-        value, witness = z_apex(g, z_list)
+    kind = parse_kind(args.kind, [read_graph_file(p) for p in args.z])
+    if args.z and kind.tag != "z_apex":
+        raise ValueError("--z is read only by --kind z_apex")
+    if kind.tag == "z_apex":
+        value, witness = z_apex(g, kind.z_list)
         witness_out = list(witness)
     else:
-        kind = parse_kind(args.kind)
         value = parameter_value(kind, g)
         witness_out = None
     payload = {
@@ -120,11 +123,7 @@ def cmd_param(args) -> int:
 
 
 def cmd_obs(args) -> int:
-    try:
-        relation, predicate = BUILTIN_CLASSES[args.cls]
-    except KeyError:
-        raise ValueError(
-            f"unknown class {args.cls!r}; choose from {sorted(BUILTIN_CLASSES)}")
+    relation, predicate = BUILTIN_CLASSES[args.cls]
     report = compute_obstructions(relation, predicate, args.nmax, args.multmax,
                                   class_desc=args.cls)
     texts = [format_graph_text(g).rstrip("\n") for g in report.obstructions]
@@ -168,7 +167,7 @@ def cmd_universal(args) -> int:
         _emit(args, payload, (("collection", "value"), ((coll.name, value),)))
         return 0
     if args.action == "approx":
-        cert = _load_certificate(args.certificate)
+        cert = CERTIFICATES[args.certificate]
         g = read_graph_file(args.g)
         verdict = approximate(cert.collection, cert.gap, g, args.k)
         payload = {
@@ -186,9 +185,9 @@ def cmd_universal(args) -> int:
                               ((verdict.kind, verdict.bound),)))
         return 0
     # gap
-    cert = _load_certificate(args.certificate)
+    cert = CERTIFICATES[args.certificate]
     corpus = args.corpus or cert.corpus
-    rep = gap_report(cert.kind, cert.collection, _load_corpus(corpus))
+    rep = gap_report(cert.kind, cert.collection, CORPORA[corpus]())
     rows = [(r.graph.n, r.graph.total_units, r.parameter, r.collection)
             for r in rep.rows]
     payload = {
@@ -207,29 +206,11 @@ def cmd_universal(args) -> int:
     return 0
 
 
-def _load_corpus(name):
-    if name not in CORPORA:
-        raise ValueError(f"unknown corpus {name!r}; choose from {', '.join(CORPORA)}")
-    return CORPORA[name]()
-
-
 def _load_collection(args):
     if args.collection_file:
         with open(args.collection_file) as fh:
             return parse_collection_spec(fh.read())
-    try:
-        return COLLECTIONS[args.collection]
-    except KeyError:
-        raise ValueError(f"unknown collection {args.collection!r}; "
-                         f"registered: {sorted(COLLECTIONS)}")
-
-
-def _load_certificate(name):
-    try:
-        return CERTIFICATES[name]
-    except KeyError:
-        raise ValueError(f"unknown certificate {name!r}; "
-                         f"registered: {sorted(CERTIFICATES)}")
+    return COLLECTIONS[args.collection]
 
 
 def cmd_poset(args) -> int:
@@ -301,7 +282,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("obs", parents=[common],
                        help="obstruction set of a built-in class")
-    p.add_argument("--class", dest="cls", required=True)
+    p.add_argument("--class", dest="cls", required=True,
+                   choices=BUILTIN_CLASSES)
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--multmax", type=int, default=1)
     p.set_defaults(func=cmd_obs)
@@ -312,24 +294,37 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("universal", parents=[common],
+    def natural(text):
+        k = int(text)
+        if k < 0:
+            raise argparse.ArgumentTypeError(f"needs --k >= 0, not {k}")
+        return k
+
+    p = sub.add_parser("universal",
                        help="collection values, certificates, gap tables")
-    p.add_argument("action", choices=("eval", "approx", "gap"))
-    p.add_argument("--collection", default=None)
-    p.add_argument("--collection-file", default=None)
-    p.add_argument("--certificate", default=None)
-    p.add_argument("--g", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--corpus", default=None)
+    acts = p.add_subparsers(dest="action", required=True)
+    a = acts.add_parser("eval", parents=[common])
+    src = a.add_mutually_exclusive_group(required=True)
+    src.add_argument("--collection", choices=COLLECTIONS)
+    src.add_argument("--collection-file")
+    a.add_argument("--g", required=True)
+    a = acts.add_parser("approx", parents=[common])
+    a.add_argument("--certificate", required=True, choices=CERTIFICATES)
+    a.add_argument("--g", required=True)
+    a.add_argument("--k", type=natural, required=True)
+    a = acts.add_parser("gap", parents=[common])
+    a.add_argument("--certificate", required=True, choices=CERTIFICATES)
+    a.add_argument("--corpus", choices=CORPORA)
     p.set_defaults(func=cmd_universal)
 
-    p = sub.add_parser("poset", parents=[common],
-                       help="width, chain partitions, the Rado order")
-    p.add_argument("action", choices=("width", "chains", "rado"))
-    p.add_argument("--poset", default=None, metavar="POSET_FILE")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--witness", type=int, nargs=2, default=None,
-                   metavar=("M", "N"))
+    p = sub.add_parser("poset", help="width, chain partitions, the Rado order")
+    acts = p.add_subparsers(dest="action", required=True)
+    for action in ("width", "chains"):
+        a = acts.add_parser(action, parents=[common])
+        a.add_argument("--poset", required=True, metavar="POSET_FILE")
+    a = acts.add_parser("rado", parents=[common])
+    a.add_argument("--n", type=int)
+    a.add_argument("--witness", type=int, nargs=2, metavar=("M", "N"))
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("verify", parents=[common], help="run a named suite")
@@ -338,32 +333,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _validate(args, parser):
-    if args.command == "universal":
-        if args.action == "eval" and not (args.collection or args.collection_file):
-            parser.error("universal eval needs --collection or --collection-file")
-        if args.action in ("eval", "approx") and not args.g:
-            parser.error(f"universal {args.action} needs --g")
-        if args.action in ("approx", "gap") and not args.certificate:
-            parser.error(f"universal {args.action} needs --certificate")
-        if args.action == "approx" and args.k is None:
-            parser.error("universal approx needs --k")
-        if args.action == "approx" and args.k < 0:
-            parser.error(f"universal approx needs --k >= 0, not {args.k}")
-        if args.action != "approx" and args.k is not None:
-            parser.error(f"universal {args.action} takes no --k")
-    if args.command == "poset" and args.action in ("width", "chains") \
-            and not args.poset:
-        parser.error(f"poset {args.action} needs --poset")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
-    _validate(args, parser)
     try:
         return args.func(args)
     except SystemExit:

@@ -151,10 +151,6 @@ class MultiGraph:
     def total_units(self) -> int:
         return sum(m for _, _, m in self.edges)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def multiplicity(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u

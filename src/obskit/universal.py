@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from .families import (GRID_FAMILY, STAR_FAMILY, TERNARY_TREE_APEX_DUAL_FAMILY,
                        TERNARY_TREE_APEX_FAMILY, TERNARY_TREE_FAMILY, THETA_FAMILY,
                        ParametricFamily, family_by_name, growth_size)
-from .multigraph import MultiGraph, _forest, enum_key, enumerate_graphs
+from .multigraph import (MultiGraph, _forest, enum_key, enumerate_graphs,
+                         tree_code)
 from .parameters import (EDGE_DEGREE, PATHWIDTH, TREEWIDTH, ParameterKind,
                          parameter_value)
 from .relations import Relation, contains, parse_relation
@@ -57,10 +58,6 @@ class PrimeCollection:
                 raise ValueError(
                     f"family {fam.name} is ordered by {fam.relation.value}, "
                     f"collection by {self.relation.value}")
-
-    @property
-    def min_base(self) -> int:
-        return min(f.base_index for f in self.families)
 
 
 def _contained(fam: ParametricFamily, relation, g, seen: dict, k: int) -> bool:
@@ -285,12 +282,23 @@ def theta_star_corpus(k_max=7):
 
 
 def tree_corpus(n_max=9):
-    """All trees up to n_max vertices, plus the empty and one-vertex graphs."""
-    import networkx as nx   # only here, so loading obskit does not load it
-    out = [MultiGraph(0), MultiGraph(1)]
+    """All trees up to n_max vertices, plus the empty and one-vertex graphs.
+
+    Layer n hangs a leaf on every vertex of every tree of layer n - 1 and
+    keeps one tree per `tree_code`, which stays linear where a canonical
+    form would not.
+    """
+    layer = [MultiGraph(1)]
+    out = [MultiGraph(0)] + layer
     for n in range(2, n_max + 1):
-        for t in nx.nonisomorphic_trees(n):
-            out.append(MultiGraph.build(n, list(t.edges())))
+        grown = {}
+        for t in layer:
+            edges = [(u, v) for u, v, _ in t.edges]
+            for v in range(t.n):
+                child = MultiGraph.build(n, edges + [(v, n - 1)])
+                grown.setdefault(tree_code(child), child)
+        layer = list(grown.values())
+        out += layer
     return out
 
 
@@ -308,12 +316,20 @@ CORPORA = {
 
 def parse_collection_spec(text: str) -> PrimeCollection:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("collection spec must be a JSON object")
     try:
         relation = data["relation"]
         names = data["families"]
     except KeyError as exc:
         raise ValueError(f"collection spec is missing the {exc.args[0]!r} key")
+    name = data.get("name", "custom")
+    if not (isinstance(relation, str) and isinstance(name, str)
+            and isinstance(names, list)
+            and all(isinstance(n, str) for n in names)):
+        raise ValueError("collection spec needs a string relation, a list of "
+                         "family names and, if given, a string name")
     return PrimeCollection(
-        name=data.get("name", "custom"),
+        name=name,
         relation=parse_relation(relation),
         families=tuple(family_by_name(n) for n in names))

@@ -87,6 +87,18 @@ def test_param_apex_distance_with_witness(capsys, files):
     assert len(data["witness"]) == 2
 
 
+def test_param_z_needs_the_z_apex_kind(capsys, files):
+    g = files("g.txt", format_graph_text(grid(3)))
+    z = files("z.txt", format_graph_text(grid(2)))
+    for kind in ((), ("--kind", "cutwidth")):
+        code, out, err = run(capsys, "param", *kind, "--g", g, "--z", z)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "--z is read only by --kind z_apex"}
+    code, out, err = run(capsys, "param", "--kind", "z_apex", "--g", g)
+    assert (code, out) == (1, "")
+    assert "z_apex needs" in json.loads(err)["error"]
+
+
 def test_gen_roundtrips_through_contain(capsys, files, tmp_path):
     out_file = str(tmp_path / "member.txt")
     code, _, _ = run(capsys, "gen", "--family", "grid", "--k", "3",
@@ -195,7 +207,38 @@ def test_universal_k_lives_only_on_approx(capsys, files, argv):
     extra = ("--g", g) if argv[0] == "eval" else ()
     code, out, err = run(capsys, "universal", *argv, *extra)
     assert code == USAGE_EXIT and out == ""
-    assert f"universal {argv[0]} takes no --k" in err
+    assert "unrecognized arguments: --k" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("universal", "approx", "--certificate", "treewidth", "--g", "G", "--k", "1",
+     "--corpus", "simple6"),
+    ("universal", "approx", "--certificate", "treewidth", "--g", "G", "--k", "1",
+     "--collection", "grids"),
+    ("universal", "approx", "--certificate", "treewidth", "--g", "G", "--k", "1",
+     "--collection-file", "C"),
+    ("universal", "eval", "--collection", "grids", "--g", "G",
+     "--certificate", "treewidth"),
+    ("universal", "eval", "--collection", "grids", "--g", "G",
+     "--corpus", "simple6"),
+    ("universal", "eval", "--collection", "grids", "--collection-file", "C",
+     "--g", "G"),
+    ("universal", "gap", "--certificate", "edge_degree", "--g", "G"),
+    ("universal", "gap", "--certificate", "edge_degree", "--collection", "grids"),
+    ("poset", "width", "--poset", "P", "--n", "3"),
+    ("poset", "width", "--poset", "P", "--witness", "2", "5"),
+    ("poset", "rado", "--n", "3", "--poset", "P"),
+    ("universal", "--format", "tsv", "gap", "--certificate", "edge_degree"),
+], ids=["approx-corpus", "approx-collection", "approx-collection-file",
+        "eval-certificate", "eval-corpus", "eval-both-collections", "gap-g",
+        "gap-collection", "width-n", "width-witness", "rado-poset",
+        "format-before-action"])
+def test_flags_an_action_does_not_read_are_usage_errors(capsys, files, argv):
+    paths = {"G": files("g.txt", format_graph_text(grid(2))),
+             "C": files("c.json", '{"relation": "minor", "families": ["grid"]}'),
+             "P": files("p.txt", "elem a\nelem b\nle a b\n")}
+    code, out, _ = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (USAGE_EXIT, "")
 
 
 def test_obs_beyond_the_size_cap_fails_cleanly(capsys):
@@ -206,8 +249,22 @@ def test_obs_beyond_the_size_cap_fails_cleanly(capsys):
 
 
 def test_obs_unknown_class_fails_cleanly(capsys):
-    code, _, err = run(capsys, "obs", "--class", "chordal")
-    assert code == 1 and "unknown class" in err
+    code, out, err = run(capsys, "obs", "--class", "chordal")
+    assert (code, out) == (USAGE_EXIT, "")
+    assert "invalid choice: 'chordal'" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("approx", "--certificate", "genus", "--g", "G", "--k", "1"), "genus"),
+    (("gap", "--certificate", "genus"), "genus"),
+    (("eval", "--collection", "cliques", "--g", "G"), "cliques"),
+    (("gap", "--certificate", "treewidth", "--corpus", "trees20"), "trees20"),
+], ids=["approx-certificate", "gap-certificate", "collection", "corpus"])
+def test_unknown_registry_names_are_usage_errors(capsys, files, argv, name):
+    g = files("g.txt", format_graph_text(grid(2)))
+    code, out, err = run(capsys, "universal", *(g if a == "G" else a for a in argv))
+    assert (code, out) == (USAGE_EXIT, "")
+    assert f"invalid choice: '{name}'" in err
 
 
 def test_universal_eval(capsys, files):
@@ -216,6 +273,22 @@ def test_universal_eval(capsys, files):
                        "--g", g)
     assert code == 0
     assert json.loads(out)["value"] == 4
+
+
+@pytest.mark.parametrize("text", [
+    '["minor", ["grid"]]',
+    '{"relation": 5, "families": ["grid"]}',
+    '{"relation": "minor", "families": "grid"}',
+    '{"relation": "minor", "families": [2]}',
+    '{"name": 7, "relation": "minor", "families": ["grid"]}',
+], ids=["list", "relation-int", "families-str", "family-int", "name-int"])
+def test_malformed_collection_files_fail_cleanly(capsys, files, text):
+    g = files("g.txt", format_graph_text(grid(2)))
+    c = files("c.json", text)
+    code, out, err = run(capsys, "universal", "eval", "--collection-file", c,
+                         "--g", g)
+    assert (code, out) == (1, "")
+    assert "collection spec" in json.loads(err)["error"]
 
 
 def test_universal_eval_requires_a_collection(capsys, files):
@@ -355,26 +428,37 @@ def test_module_entry_point_runs_as_subprocess():
     assert json.loads(proc.stdout)["width"] == 3
 
 
-def test_loading_obskit_leaves_networkx_unloaded():
+def _networkx_modules_after(code):
+    """The networkx modules loaded after running `code` in a fresh process."""
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import obskit
-    # networkx costs the load path memory and time; the few functions that
-    # still use it import it themselves
     src = str(Path(obskit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, obskit.cli; print(sorted(m for m in sys.modules "
+         f"import sys; {code}; print(sorted(m for m in sys.modules "
          "if m.split('.')[0] == 'networkx'))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_loading_obskit_leaves_networkx_unloaded():
+    # networkx costs the load path memory and time; the one function that
+    # still uses it imports it itself
+    assert _networkx_modules_after("import obskit.cli") == "[]"
+
+
+def test_the_tree_corpus_leaves_networkx_unloaded():
+    # width_survey builds trees9 in its set-up; trees come from tree_code
+    assert _networkx_modules_after(
+        "from obskit.universal import CORPORA; "
+        "assert len(CORPORA['trees9']()) == 96") == "[]"
 
 
 def test_poset_chains_do_not_depend_on_the_hash_seed(files):

@@ -100,7 +100,7 @@ def test_apex_faces_form_a_planar_drawing_and_its_dual(k):
     faces = _apex_faces(k)[0]
     leaves = 3 * 2 ** (k - 1)
     assert len(faces) == leaves
-    assert host.n - host.edge_count + len(faces) == 2
+    assert host.n - len(host.edges) + len(faces) == 2
     on = {}
     for i, face in enumerate(faces):
         for e in face:

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 
 import obskit.universal as universal
 from hypothesis import given, settings
 
-from obskit.multigraph import MultiGraph, enumerate_graphs
+from obskit.multigraph import MultiGraph, enum_key, enumerate_graphs
 from obskit.families import (
     ParametricFamily,
     STAR_FAMILY,
@@ -135,7 +137,6 @@ def test_prime_collection_validation():
     with pytest.raises(ValueError):
         PrimeCollection("mixed", Relation.MINOR,
                         (STAR_FAMILY,))  # star family is immersion-ordered
-    assert GRID_COLLECTION.min_base == 2
 
 
 def test_shipped_collections_shape():
@@ -330,6 +331,20 @@ def test_corpora_are_deterministic_and_sized():
     trees = tree_corpus(7)
     assert [g.n for g in trees[:4]] == [0, 1, 2, 3]
     assert len(trees) == 2 + sum([1, 1, 2, 3, 6, 11])
+
+
+def test_tree_corpus_matches_networkx():
+    import networkx as nx
+
+    trees = tree_corpus(12)
+    # OEIS A000055: trees on n = 1..12 vertices, plus K0
+    counts = Counter(g.n for g in trees)
+    assert [counts[n] for n in range(13)] == [
+        1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    oracle = [MultiGraph(0), MultiGraph(1)] + [
+        MultiGraph.build(n, list(t.edges()))
+        for n in range(2, 13) for t in nx.nonisomorphic_trees(n)]
+    assert Counter(map(enum_key, trees)) == Counter(map(enum_key, oracle))
 
 
 def test_collection_spec_roundtrip():
