@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from obskit.families import CLASS_SPECS, omnivore_chain
+from obskit.families import omnivore_chain
 from obskit.multigraph import format_graph_set, parse_graph_set
 from obskit.obstructions import BUILTIN_CLASSES, compute_obstructions
 from obskit.verify import FIXTURE_BOUNDS, _same_graphs
@@ -53,7 +53,7 @@ def main():
                           "(triangle with a pair-attached outer vertex "
                           "per edge, the 3-sun)")
 
-    chain = omnivore_chain(CLASS_SPECS["forests"], 5)
+    chain = omnivore_chain(*BUILTIN_CLASSES["forests"], 5)
     write_fixture("omnivore_forests.txt", chain,
                   "omnivore steps k=1..5 for the forest class")
 

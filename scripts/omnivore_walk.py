@@ -1,9 +1,10 @@
 """Walk the omnivore construction for a graph class and print each step.
 
-Each step k produces the smallest class member (by vertex count plus edge
-units, ties broken canonically) that contains the previous member under the
-class relation and is strictly larger.  The table shows the growth and
-re-verifies every consecutive containment.
+Step k is the least class member in enumeration order (vertex count, then
+edge units, then canonical form) that contains step k - 1 under the class
+relation and contains every member with at most k vertices.  Consecutive
+steps may be equal: the theta_like chain repeats K2 from step 2 on.  The
+table shows the growth and re-verifies every consecutive containment.
 """
 
 import argparse
@@ -12,36 +13,38 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from obskit.families import CLASS_SPECS, omnivore_chain, parse_class_spec
+from obskit.families import omnivore_chain, parse_class_spec
 from obskit.multigraph import format_graph_text
-from obskit.relations import contains
+from obskit.obstructions import BUILTIN_CLASSES
+from obskit.relations import Mode, contains
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--class", dest="cls", default="forests",
                     help="builtin class name (%s) or a class-spec file path"
-                         % ", ".join(sorted(CLASS_SPECS)))
+                         % ", ".join(sorted(BUILTIN_CLASSES)))
     ap.add_argument("--steps", type=int, default=5)
-    ap.add_argument("--n-budget", type=int, default=None,
-                    help="abort a step if the search would pass this many vertices")
     ap.add_argument("--show-graphs", action="store_true")
     args = ap.parse_args(argv)
 
-    if args.cls in CLASS_SPECS:
-        spec = CLASS_SPECS[args.cls]
+    if args.cls in BUILTIN_CLASSES:
+        relation, member = BUILTIN_CLASSES[args.cls]
+        mult_max = 1
     else:
         with open(args.cls) as fh:
             spec = parse_class_spec(fh.read())
+        relation, member = spec.relation, spec.member
+        mult_max = spec.mult_cap if spec.mode is Mode.MULTI else 1
+    mode = Mode.SIMPLE if mult_max == 1 else Mode.MULTI
 
-    chain = omnivore_chain(spec, args.steps, n_budget=args.n_budget)
+    chain = omnivore_chain(relation, member, args.steps, mult_max)
 
-    print(f"class={args.cls} relation={spec.relation.value} steps={len(chain)}")
+    print(f"class={args.cls} relation={relation.value} steps={len(chain)}")
     print("step  vertices  edge_units  contains_previous")
     prev = None
     for k, g in enumerate(chain, start=1):
-        linked = "-" if prev is None else str(contains(spec.relation, prev, g,
-                                                       mode=spec.mode))
+        linked = "-" if prev is None else str(contains(relation, prev, g, mode=mode))
         print(f"{k:4d}  {g.n:8d}  {g.total_units:10d}  {linked}")
         if args.show_graphs:
             print("      " + format_graph_text(g).replace("\n", " / "))

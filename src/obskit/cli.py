@@ -42,10 +42,16 @@ CONVENTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        # leftovers are reported by the parser they followed, with its usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+        self.exit(USAGE_EXIT, f"error: {message}\n")
 
 
 def read_graph_file(path: str) -> MultiGraph:

@@ -1,5 +1,6 @@
-"""Parametric graph families, finitely presented graph classes, and the
-generic omnivore constructor.
+"""Parametric graph families, class-spec files, and the omnivore
+construction.  The omnivore takes a class as a (relation, member) pair,
+the shape of `obstructions.BUILTIN_CLASSES` and of a parsed class-spec file.
 
 Conventions pinned here and relied on by fixtures elsewhere:
 
@@ -26,8 +27,6 @@ Conventions pinned here and relied on by fixtures elsewhere:
 """
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,6 +34,7 @@ from .multigraph import (
     MAX_MULTIPLICITY,
     BudgetExceededError,
     MultiGraph,
+    _check_enum_budget,
     _grow_closed,
     _vertex_cap,
     format_graph_text,
@@ -238,9 +238,6 @@ class ParametricFamily:
                 f"family {self.name} starts at index {self.base_index}")
         return self.generator(k)
 
-    def prefix(self, count: int) -> list[MultiGraph]:
-        return [self.member(self.base_index + i) for i in range(count)]
-
 
 def verify_family_step(fam: ParametricFamily, k: int) -> bool:
     """Check member k <= member k+1, preferring the declared witness."""
@@ -386,51 +383,45 @@ def parse_class_spec(text: str) -> ClassSpec:
     return ClassSpec(relation, obstructions, mode, cap)
 
 
-CLASS_SPECS: dict[str, ClassSpec] = {
-    "forests": ClassSpec(Relation.MINOR, (complete(3),)),
-    "outerplanar": ClassSpec(Relation.MINOR, (complete(4), complete_bipartite(2, 3))),
-}
-
-
 # -- the omnivore constructor -----------------------------------------------------
 
-@functools.lru_cache(maxsize=128)
-def omnivore_step(spec: ClassSpec, k: int, prev: MultiGraph | None = None,
-                  n_budget: int | None = None) -> MultiGraph:
-    """The enumeration-least member of the class sitting above prev and
-    above every member with at most k vertices."""
-    if k < 1:
-        raise ValueError("omnivore index starts at 1")
-    mult_cap = 1 if spec.mode is Mode.SIMPLE else spec.mult_cap
-    if n_budget is None:
-        n_budget = _vertex_cap(mult_cap)
-    if k > n_budget:
-        raise BudgetExceededError(
-            "coverage level exceeds the enumeration budget",
-            {"k": k, "vertex_budget": n_budget})
-    # one growth: its first k + 1 member layers are the targets, in enumeration order
-    grown = (inside for inside, _ in _grow_closed(spec.member, n_budget, mult_cap))
-    early = list(itertools.islice(grown, k + 1))
-    targets = [g for inside in early for g in inside][::-1]
-    frontier = 0
-    for cand in itertools.chain.from_iterable(itertools.chain(early, grown)):
-        frontier = cand.n
-        if prev is not None and not contains(spec.relation, prev, cand,
-                                             mode=spec.mode):
-            continue
-        if all(contains(spec.relation, t, cand, mode=spec.mode)
-               for t in targets):
-            return cand
-    raise BudgetExceededError(
-        "enumeration budget ran out before a covering member appeared",
-        {"k": k, "vertex_budget": n_budget, "frontier_vertices": frontier})
+def omnivore_chain(relation, member, length, mult_max=1) -> list[MultiGraph]:
+    """Steps 1..length of the omnivore of a class closed under relation:
+    step k is the enumeration-least member above step k - 1 and above every
+    member on at most k vertices.  One growth serves every step; step k is
+    step k - 1 or comes after it, so each scan resumes there.  The mode
+    comes from mult_max, as in `compute_obstructions`."""
+    mode = Mode.SIMPLE if mult_max == 1 else Mode.MULTI
+    budget = _vertex_cap(mult_max)
+    _check_enum_budget(budget, mult_max)
+    layers = (inside for inside, _ in _grow_closed(member, budget, mult_max))
+    grown: list[MultiGraph] = []  # the member layers so far, in enumeration order
 
+    def pull() -> bool:
+        layer = next(layers, [])
+        grown.extend(layer)
+        return bool(layer)
 
-def omnivore_chain(spec: ClassSpec, length: int,
-                   n_budget: int | None = None) -> list[MultiGraph]:
-    out: list[MultiGraph] = []
-    prev = None
+    chain: list[MultiGraph] = []
+    at = 0
     for k in range(1, length + 1):
-        prev = omnivore_step(spec, k, prev, n_budget=n_budget)
-        out.append(prev)
-    return out
+        if k > budget:
+            raise BudgetExceededError(
+                "coverage level exceeds the enumeration budget",
+                {"k": k, "vertex_budget": budget})
+        while (not grown or grown[-1].n < k) and pull():
+            pass
+        targets = [t for t in grown if t.n <= k][::-1]  # largest first
+        while at < len(grown) or pull():
+            cand = grown[at]
+            if (not chain or contains(relation, chain[-1], cand, mode=mode)) \
+                    and all(contains(relation, t, cand, mode=mode) for t in targets):
+                break
+            at += 1
+        else:
+            raise BudgetExceededError(
+                "enumeration budget ran out before a covering member appeared",
+                {"k": k, "vertex_budget": budget,
+                 "frontier_vertices": grown[-1].n if grown else 0})
+        chain.append(cand)
+    return chain

@@ -19,7 +19,6 @@ from obskit.multigraph import (
     lift_pair,
 )
 from obskit.families import (
-    CLASS_SPECS,
     complete,
     complete_bipartite,
     grid,
@@ -217,7 +216,7 @@ def test_criterion_08_solver_cross_validation_and_monotonicity():
 
 
 def test_criterion_09_omnivore_chain_covers_small_forests():
-    chain = omnivore_chain(CLASS_SPECS["forests"], 5)
+    chain = omnivore_chain(Relation.MINOR, is_forest, 5)
     assert [canonical_form(g) for g in chain] == \
         [canonical_form(g) for g in fixture_graphs("omnivore_forests.txt")]
     for g in chain:

@@ -241,6 +241,22 @@ def test_flags_an_action_does_not_read_are_usage_errors(capsys, files, argv):
     assert (code, out) == (USAGE_EXIT, "")
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (("universal", "gap", "--certificate", "edge_degree", "--g", "G"),
+     "usage: obskit universal gap "),
+    (("param", "--g", "G", "--budget-ms", "5"), "usage: obskit param "),
+    (("contain", "--relation", "minor", "--h", "G", "--g", "G", "extra"),
+     "usage: obskit contain "),
+    (("--bogus",), "usage: obskit [-h] "),
+], ids=["universal-gap", "param", "contain-positional", "top-level"])
+def test_unread_arguments_print_the_usage_they_followed(capsys, files, argv, usage):
+    g = files("g.txt", format_graph_text(grid(2)))
+    code, out, err = run(capsys, *(g if a == "G" else a for a in argv))
+    assert (code, out) == (USAGE_EXIT, "")
+    assert err.startswith(usage)
+    assert "error: unrecognized arguments: " in err
+
+
 def test_obs_beyond_the_size_cap_fails_cleanly(capsys):
     code, out, err = run(capsys, "obs", "--class", "forests", "--nmax", "9")
     assert code == 1 and out == ""
@@ -489,19 +505,40 @@ def test_poset_chains_do_not_depend_on_the_hash_seed(files):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("script", sorted(
-    p.name for p in (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")))
-def test_scripts_run_from_a_plain_checkout(script, tmp_path):
+def _run_script(tmp_path, script, *argv):
+    """Run scripts/<script> from a plain checkout: no PYTHONPATH, cwd outside."""
     import os
     import subprocess
     import sys
 
     path = Path(__file__).resolve().parents[1] / "scripts" / script
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, str(path), "--help"], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, str(path), *argv], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "usage" in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", sorted(
+    p.name for p in (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")))
+def test_scripts_run_from_a_plain_checkout(script, tmp_path):
+    assert "usage" in _run_script(tmp_path, script, "--help")
+
+
+def test_omnivore_walk_links_every_step_of_a_builtin_class(tmp_path):
+    lines = _run_script(tmp_path, "omnivore_walk.py", "--class", "outerplanar",
+                        "--steps", "4").splitlines()
+    assert lines[0] == "class=outerplanar relation=minor steps=4"
+    assert [ln.split()[-1] for ln in lines[2:]] == ["-", "True", "True", "True"]
+
+
+def test_omnivore_walk_links_every_step_of_a_class_spec_file(tmp_path):
+    spec = tmp_path / "no_k4.txt"
+    spec.write_text("relation minor\nmode simple\n\n" + format_graph_text(complete(4)))
+    lines = _run_script(tmp_path, "omnivore_walk.py", "--class", str(spec),
+                        "--steps", "4").splitlines()
+    assert lines[0] == f"class={spec} relation=minor steps=4"
+    assert [ln.split()[-1] for ln in lines[2:]] == ["-", "True", "True", "True"]
 
 
 def _ab_pairs(monkeypatch):

@@ -4,7 +4,10 @@ from collections import Counter
 import pytest
 
 from obskit.multigraph import (
+    MAX_MULTI_VERTICES,
     MAX_MULTIPLICITY,
+    MAX_SIMPLE_VERTICES,
+    BudgetExceededError,
     MultiGraph,
     are_isomorphic,
     canonical_form,
@@ -12,7 +15,6 @@ from obskit.multigraph import (
     format_graph_text,
 )
 from obskit.families import (
-    CLASS_SPECS,
     FAMILIES,
     ClassSpec,
     _apex_faces,
@@ -25,7 +27,6 @@ from obskit.families import (
     grid,
     growth_size,
     omnivore_chain,
-    omnivore_step,
     parse_class_spec,
     path,
     star,
@@ -35,7 +36,7 @@ from obskit.families import (
     theta,
     verify_family_step,
 )
-from obskit.obstructions import fixture_graphs, is_forest
+from obskit.obstructions import BUILTIN_CLASSES, fixture_graphs, is_forest
 from obskit.relations import Mode, Relation, contains, verify_minor_model
 
 
@@ -143,7 +144,6 @@ def test_member_respects_base_index():
     assert fam.base_index == 2
     with pytest.raises(ValueError):
         fam.member(1)
-    assert fam.prefix(2) == [grid(2), grid(3)]
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -160,11 +160,11 @@ def test_family_steps_verify_and_grow(name):
 
 
 def test_class_spec_membership():
-    forests = CLASS_SPECS["forests"]
+    forests = ClassSpec(Relation.MINOR, (complete(3),))
     assert forests.member(path(5))
     assert forests.member(star(4))
     assert not forests.member(complete(3))
-    outer = CLASS_SPECS["outerplanar"]
+    outer = ClassSpec(Relation.MINOR, (complete(4), complete_bipartite(2, 3)))
     assert outer.member(fan(5))
     assert not outer.member(complete(4))
     assert not outer.member(grid(3))
@@ -222,15 +222,13 @@ def test_class_spec_checks_its_multiplicity_cap():
 
 
 def test_omnivore_first_steps_for_forests():
-    spec = CLASS_SPECS["forests"]
-    g1 = omnivore_step(spec, 1)
+    g1, g2 = omnivore_chain(Relation.MINOR, is_forest, 2)
     assert (g1.n, g1.total_units) == (1, 0)
-    g2 = omnivore_step(spec, 2, g1)
     assert (g2.n, g2.total_units) == (2, 1)
 
 
 def test_omnivore_chain_matches_fixture():
-    chain = omnivore_chain(CLASS_SPECS["forests"], 5)
+    chain = omnivore_chain(*BUILTIN_CLASSES["forests"], 5)
     fixed = fixture_graphs("omnivore_forests.txt")
     assert [canonical_form(g) for g in chain] == \
         [canonical_form(g) for g in fixed]
@@ -241,28 +239,68 @@ def test_omnivore_chain_matches_fixture():
 
 
 def test_omnivore_steps_match_their_definition():
-    spec = CLASS_SPECS["outerplanar"]
-    members = [g for g in enumerate_graphs(6, 1) if spec.member(g)]
+    relation, member = BUILTIN_CLASSES["outerplanar"]
+    members = [g for g in enumerate_graphs(6, 1) if member(g)]
+    chain = omnivore_chain(relation, member, 4)
     prev = None
-    for k in range(1, 5):
+    for k, got in enumerate(chain, start=1):
         # the enumeration-least member above prev and every member on <= k vertices
         want = next(c for c in members
-                    if (prev is None or contains(spec.relation, prev, c))
-                    and all(contains(spec.relation, t, c)
+                    if (prev is None or contains(relation, prev, c))
+                    and all(contains(relation, t, c)
                             for t in members if t.n <= k))
-        got = omnivore_step(spec, k, prev, n_budget=6)
         assert canonical_form(got) == canonical_form(want)
         prev = got
 
 
-def test_omnivore_steps_are_memoized():
-    spec = CLASS_SPECS["forests"]
-    omnivore_step.cache_clear()
-    first = omnivore_step(spec, 2)
-    assert omnivore_step(spec, 2) is first
-    assert omnivore_step.cache_info().hits == 1
+#: sha256 of the concatenated format_graph_text of each chain
+OMNIVORE_CHAIN_SHA256 = {
+    ("forests", 5): "a3daa007156a0c46b34d76854bb97c264b5127d49c9cec85278fe387078bf61f",
+    ("outerplanar", 6): "3bde526aaaffcb83fa92bd09cf6546e360779263a029e4a4bd7b9a55504c8cd4",
+}
 
 
-def test_omnivore_rejects_bad_index():
-    with pytest.raises(ValueError):
-        omnivore_step(CLASS_SPECS["forests"], 0)
+@pytest.mark.parametrize("name,length", sorted(OMNIVORE_CHAIN_SHA256))
+def test_omnivore_chain_asks_each_grown_class_once(name, length):
+    relation, member = BUILTIN_CLASSES[name]
+    asked = Counter()
+
+    def counted(g):
+        asked[canonical_form(g)] += 1
+        return member(g)
+
+    chain = omnivore_chain(relation, counted, length)
+    text = "".join(format_graph_text(g) for g in chain)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        OMNIVORE_CHAIN_SHA256[name, length]
+    assert set(asked.values()) == {1}
+
+
+def test_omnivore_chain_of_a_class_spec_matches_the_native_predicate():
+    spec = parse_class_spec(format_class_spec(
+        ClassSpec(Relation.MINOR, (complete(4), complete_bipartite(2, 3)))))
+    from_spec = omnivore_chain(spec.relation, spec.member, 5)
+    native = omnivore_chain(*BUILTIN_CLASSES["outerplanar"], 5)
+    assert [canonical_form(g) for g in from_spec] == \
+        [canonical_form(g) for g in native]
+
+
+def test_omnivore_chain_past_the_vertex_cap_is_a_budget_error():
+    # theta_like members have at most two vertices, so at multiplicity 2
+    # every step from 2 on is theta(2) until the coverage level passes the cap
+    relation, member = BUILTIN_CLASSES["theta_like"]
+    chain = omnivore_chain(relation, member, MAX_MULTI_VERTICES, 2)
+    assert [(g.n, g.total_units) for g in chain] == \
+        [(1, 0)] + [(2, 2)] * (MAX_MULTI_VERTICES - 1)
+    with pytest.raises(BudgetExceededError,
+                       match="coverage level exceeds the enumeration budget") as exc:
+        omnivore_chain(relation, member, MAX_MULTI_VERTICES + 1, 2)
+    assert exc.value.detail == {"k": MAX_MULTI_VERTICES + 1,
+                                "vertex_budget": MAX_MULTI_VERTICES}
+
+
+def test_omnivore_chain_reports_where_the_growth_ran_out():
+    with pytest.raises(BudgetExceededError, match="before a covering member") as exc:
+        omnivore_chain(*BUILTIN_CLASSES["forests"], MAX_SIMPLE_VERTICES + 1)
+    assert exc.value.detail == {"k": 6, "vertex_budget": MAX_SIMPLE_VERTICES,
+                                "frontier_vertices": MAX_SIMPLE_VERTICES}

@@ -20,6 +20,7 @@ TEST_ONLY = {
     "format_poset_text": "the writer that pins the poset parser the CLI uses",
     "format_class_spec": "the writer that pins the class-spec parser",
     "fan": "perfbench builds its fan patterns through it by name",
+    "complete_bipartite": "perfbench builds its K_{2,3} pattern through it by name",
 }
 
 
