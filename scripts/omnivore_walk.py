@@ -2,9 +2,12 @@
 
 Step k is the least class member in enumeration order (vertex count, then
 edge units, then canonical form) that contains step k - 1 under the class
-relation and contains every member with at most k vertices.  Consecutive
-steps may be equal: the theta_like chain repeats K2 from step 2 on.  The
-table shows the growth and re-verifies every consecutive containment.
+relation and contains every member with at most k vertices.  A builtin
+class walks at the multiplicity its obstruction set ships at
+(`verify.FIXTURE_BOUNDS`); a class-spec file names its own.  Consecutive
+steps may be equal: the theta_like chain repeats theta(2), the double
+edge, from step 2 on.  The table shows the growth and re-verifies every
+consecutive containment.
 """
 
 import argparse
@@ -17,6 +20,7 @@ from obskit.families import omnivore_chain, parse_class_spec
 from obskit.multigraph import format_graph_text
 from obskit.obstructions import BUILTIN_CLASSES
 from obskit.relations import Mode, contains
+from obskit.verify import FIXTURE_BOUNDS
 
 
 def main(argv=None):
@@ -30,7 +34,7 @@ def main(argv=None):
 
     if args.cls in BUILTIN_CLASSES:
         relation, member = BUILTIN_CLASSES[args.cls]
-        mult_max = 1
+        mult_max = FIXTURE_BOUNDS[args.cls][1]
     else:
         with open(args.cls) as fh:
             spec = parse_class_spec(fh.read())

@@ -36,6 +36,7 @@ from .multigraph import (
     MultiGraph,
     _check_enum_budget,
     _grow_closed,
+    _text_blocks,
     _vertex_cap,
     format_graph_text,
     parse_graph_text,
@@ -353,7 +354,7 @@ def format_class_spec(spec: ClassSpec) -> str:
 
 
 def parse_class_spec(text: str) -> ClassSpec:
-    chunks = [c for c in text.split("\n\n") if c.strip()]
+    chunks = _text_blocks(text)
     if not chunks:
         raise ValueError("empty class file")
     relation = None

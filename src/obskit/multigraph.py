@@ -25,6 +25,7 @@ obstruction scan and the omnivore construction, and one blocks routine,
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator
@@ -66,30 +67,22 @@ class MultiGraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be >= 0")
-        seen = set()
-        prev = None
+        prev = (-1, -1)
         for u, v, m in self.edges:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range or not u<v for n={self.n}")
             if m < 1:
                 raise ValueError(f"edge ({u},{v}) has multiplicity {m} < 1")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge pair ({u},{v})")
-            seen.add((u, v))
-            if prev is not None and (u, v) < prev:
-                raise ValueError("edges must be sorted; use MultiGraph.build")
+            if (u, v) <= prev:  # in sorted pairs a repeat follows its twin
+                raise ValueError(f"duplicate edge pair ({u},{v})" if (u, v) == prev
+                                 else "edges must be sorted; use MultiGraph.build")
             prev = (u, v)
 
     @staticmethod
-    def build(n: int, edge_items: Iterable[tuple[int, int] | tuple[int, int, int]] | dict) -> "MultiGraph":
+    def build(n: int, edge_items: Iterable[tuple[int, int] | tuple[int, int, int]]) -> "MultiGraph":
         """Normalize arbitrary edge data: pairs get multiplicity 1, repeats accumulate."""
         acc: dict[tuple[int, int], int] = {}
-        items: Iterable
-        if isinstance(edge_items, dict):
-            items = [(u, v, m) for (u, v), m in edge_items.items()]
-        else:
-            items = edge_items
-        for item in items:
+        for item in edge_items:
             if len(item) == 2:
                 u, v = item
                 m = 1
@@ -191,60 +184,60 @@ K0 = MultiGraph(0)
 
 # -- elementary operations -------------------------------------------------
 
-def delete_vertex(g: MultiGraph, v: int) -> MultiGraph:
-    """Remove v and its incident edges; remaining labels stay in order.
+def delete_vertices(g: MultiGraph, vertices: Iterable[int]) -> MultiGraph:
+    """Remove the vertices and their incident edges; the survivors keep
+    their order and are relabelled 0, 1, ...
 
     The relabelling keeps the order of labels, so the surviving edges stay
     sorted and distinct and need no rebuild.
     """
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    edges = tuple((a - (a > v), b - (b > v), m)
-                  for a, b, m in g.edges if a != v and b != v)
-    return MultiGraph(g.n - 1, edges)
+    gone = set(vertices)
+    for v in gone:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range")
+    label = {w: i for i, w in enumerate(w for w in range(g.n) if w not in gone)}
+    edges = tuple((label[a], label[b], m) for a, b, m in g.edges
+                  if a in label and b in label)
+    return MultiGraph(len(label), edges)
 
 
-def delete_edge(g: MultiGraph, u: int, v: int, units: int = 1) -> MultiGraph:
-    """Remove `units` of multiplicity from edge uv; the pair disappears at 0."""
+def delete_edge(g: MultiGraph, u: int, v: int) -> MultiGraph:
+    """Remove one unit of multiplicity from edge uv; the pair disappears at 0.
+
+    Only that pair's entry changes, so the edges stay sorted.
+    """
     if u > v:
         u, v = v, u
     m = g.multiplicity(u, v)
     if m == 0:
         raise ValueError(f"no edge ({u},{v})")
-    if not (1 <= units <= m):
-        raise ValueError(f"cannot remove {units} units from multiplicity {m}")
-    edges = [(a, b, mm) for a, b, mm in g.edges if (a, b) != (u, v)]
-    if m > units:
-        edges.append((u, v, m - units))
-    return MultiGraph.build(g.n, edges)
+    i = g.edges.index((u, v, m))
+    rest = ((u, v, m - 1),) if m > 1 else ()
+    return MultiGraph(g.n, g.edges[:i] + rest + g.edges[i + 1:])
 
 
-def contract_edge(g: MultiGraph, u: int, v: int, simple: bool | None = None) -> MultiGraph:
-    """Contract edge uv into min(u, v).
+def contract_edge(g: MultiGraph, u: int, v: int, simple: bool) -> MultiGraph:
+    """Contract edge uv into min(u, v); the vertices above max(u, v) move
+    down one label.
 
-    simple mode collapses parallel edges created by the merge to multiplicity
-    1; multigraph mode accumulates them.  Loops vanish in both modes.  The
-    default mode matches the graph: simple graphs contract simply.
+    simple mode gives every remaining pair multiplicity 1; multigraph mode
+    adds up the parallel edges the merge creates.  Loops vanish in both
+    modes.
     """
     if g.multiplicity(u, v) == 0:
         raise ValueError(f"no edge ({u},{v})")
-    if simple is None:
-        simple = g.is_simple()
     keep, gone = min(u, v), max(u, v)
+    label = [w - (w > gone) for w in range(g.n)]
+    label[gone] = keep
     acc: dict[tuple[int, int], int] = {}
     for a, b, m in g.edges:
-        a2 = keep if a == gone else a
-        b2 = keep if b == gone else b
+        a2, b2 = label[a], label[b]
         if a2 == b2:
             continue  # the contracted pair, and any loop, vanish
         if a2 > b2:
             a2, b2 = b2, a2
-        acc[(a2, b2)] = acc.get((a2, b2), 0) + m
-    if simple:
-        acc = {e: 1 for e in acc}
-    relabel = {w: (w if w < gone else w - 1) for w in range(g.n) if w != gone}
-    edges = [(relabel[a], relabel[b], m) for (a, b), m in acc.items()]
-    return MultiGraph.build(g.n - 1, edges)
+        acc[(a2, b2)] = 1 if simple else acc.get((a2, b2), 0) + m
+    return MultiGraph(g.n - 1, tuple(sorted((a, b, m) for (a, b), m in acc.items())))
 
 
 def lift_pair(g: MultiGraph, x: int, y: int, z: int) -> MultiGraph:
@@ -257,10 +250,11 @@ def lift_pair(g: MultiGraph, x: int, y: int, z: int) -> MultiGraph:
         raise ValueError("lift endpoints must differ (loops not allowed)")
     if g.multiplicity(x, y) == 0 or g.multiplicity(y, z) == 0:
         raise ValueError("both edges of the lifted pair must exist")
-    h = delete_edge(g, x, y)
-    h = delete_edge(h, y, z)
-    items = list(h.edges) + [(min(x, z), max(x, z), 1)]
-    return MultiGraph.build(g.n, items)
+    units = dict(g.edge_dict)
+    for a, b, step in ((x, y, -1), (y, z, -1), (x, z, 1)):
+        pair = (min(a, b), max(a, b))
+        units[pair] = units.get(pair, 0) + step
+    return MultiGraph(g.n, tuple(sorted((a, b, m) for (a, b), m in units.items() if m)))
 
 
 # -- canonical forms -------------------------------------------------------
@@ -467,6 +461,11 @@ def _forest(g: MultiGraph, gone: int = 0) -> bool:
     return edges == allowed.bit_count() - components
 
 
+def _is_tree(g: MultiGraph) -> bool:
+    """A forest with one edge unit fewer than vertices: a simple tree."""
+    return g.n > 0 and g.total_units == g.n - 1 and _forest(g)
+
+
 def _block_sets(g: MultiGraph) -> list[frozenset[int]]:
     """Vertex sets of the blocks of g's simplification that carry an edge:
     its 2-connected pieces and its bridges (isolated vertices are left out).
@@ -520,7 +519,7 @@ def tree_code(g: MultiGraph) -> str | None:
     isomorphism stays cheap where the generic canonical search would choke
     on leaf symmetry.
     """
-    if g.n == 0 or g.total_units != g.n - 1 or not _forest(g):
+    if not _is_tree(g):
         return None
     if g.n == 1:
         return "()"
@@ -818,9 +817,15 @@ def format_graph_set(graphs: Iterable[MultiGraph], comment: str | None = None) -
     return "\n\n".join(parts) + "\n"
 
 
+def _text_blocks(text: str) -> list[str]:
+    """The non-empty pieces of text between lines blank after strip(), so
+    a separator line may hold spaces or a carriage return."""
+    return [b for b in re.split(r"\n\s*\n", text) if b.strip()]
+
+
 def parse_graph_set(text: str) -> list[MultiGraph]:
     out = []
-    for block in text.split("\n\n"):
+    for block in _text_blocks(text):
         lines = [ln for ln in block.splitlines()
                  if ln.strip() and not ln.lstrip().startswith("#")]
         if lines:

@@ -46,7 +46,7 @@ from .multigraph import (
     _forest,
     _grow_closed,
     canonical_form,
-    delete_vertex,
+    delete_vertices,
     parse_graph_set,
 )
 from .relations import Mode, Relation, _single_steps, is_antichain, parse_relation
@@ -150,7 +150,7 @@ def _check_unreached_members(predicate, members, n_max, mult_max, relation):
             member = g
             top = max(range(g.n), key=lambda v: (member.edge_degrees[v],
                                                  member.degrees[v]))
-            g = delete_vertex(member, top)
+            g = delete_vertices(member, (top,))
         raise NonClosedPredicateError(member, g, relation)
 
 

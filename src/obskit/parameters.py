@@ -35,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 
 from .multigraph import (BudgetExceededError, MultiGraph, _block_sets,
-                         _component_mask, delete_vertex)
+                         _component_mask, delete_vertices)
 from .relations import Relation, contains
 
 MAX_TREEWIDTH_VERTICES = 16
@@ -307,18 +307,12 @@ def edge_degree(g: MultiGraph) -> int:
 
 
 def _blocks(g: MultiGraph) -> list[MultiGraph]:
-    """Blocks of the simplified graph: 2-connected pieces, bridges, and
-    isolated vertices, each relabeled to its own vertex range."""
+    """Blocks of the simplified graph that carry an edge: its 2-connected
+    pieces and its bridges, each relabeled to its own vertex range.
+    Isolated vertices are left out; their pathwidth, 0, never changes
+    `bi_pathwidth`'s maximum."""
     g = g.simplify()
-    out = []
-    for block in _block_sets(g):
-        vs = sorted(block)
-        pos = {v: i for i, v in enumerate(vs)}
-        edges = [(pos[u], pos[v]) for u, v, _ in g.edges
-                 if u in block and v in block]
-        out.append(MultiGraph.build(len(vs), edges))
-    out.extend(MultiGraph(1) for d in g.degrees if d == 0)
-    return out
+    return [delete_vertices(g, set(range(g.n)) - block) for block in _block_sets(g)]
 
 
 def bi_pathwidth(g: MultiGraph) -> int:
@@ -390,9 +384,7 @@ def layout_cutwidth_cost(g: MultiGraph, layout: Layout) -> int:
 
 
 def is_z_apex_witness(g: MultiGraph, z_list, deletions) -> bool:
-    remaining = g
-    for v in sorted(set(deletions), reverse=True):
-        remaining = delete_vertex(remaining, v)
+    remaining = delete_vertices(g, deletions)
     return not any(contains(Relation.MINOR, z, remaining) for z in z_list)
 
 

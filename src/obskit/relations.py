@@ -58,12 +58,12 @@ from time import monotonic
 from .multigraph import (
     BudgetExceededError,
     MultiGraph,
-    _forest,
+    _is_tree,
     are_isomorphic,
     canonical_form,
     contract_edge,
     delete_edge,
-    delete_vertex,
+    delete_vertices,
     lift_pair,
 )
 
@@ -216,9 +216,9 @@ def _single_steps(g: MultiGraph, rel: Relation, mode: Mode):
     h < g lies below one of these steps."""
     simple = mode is Mode.SIMPLE
     for v in range(g.n):
-        yield delete_vertex(g, v)
+        yield delete_vertices(g, (v,))
     for u, v, _ in g.edges:
-        yield delete_edge(g, u, v, 1)
+        yield delete_edge(g, u, v)
         if rel is Relation.MINOR:
             yield contract_edge(g, u, v, simple=simple)
     if rel is Relation.TOPOLOGICAL_MINOR:
@@ -433,8 +433,7 @@ def _reduce_host(h: MultiGraph, g: MultiGraph, multi: bool = False) -> MultiGrap
         degs = g.edge_degrees
         drop = [v for v in range(g.n) if degs[v] <= cut]
         if drop:
-            for v in reversed(drop):
-                g = delete_vertex(g, v)
+            g = delete_vertices(g, drop)
             continue
         if low >= 3 and not multi:
             two = next((v for v in range(g.n) if degs[v] == 2
@@ -460,10 +459,6 @@ def _children(t: MultiGraph, root: int) -> list[list[int]]:
                 children[v].append(w)
                 stack.append(w)
     return children
-
-
-def _is_tree(g: MultiGraph) -> bool:
-    return g.n > 0 and g.total_units == g.n - 1 and _forest(g)
 
 
 def _tree_minor(h: MultiGraph, g: MultiGraph) -> bool:

@@ -14,7 +14,7 @@ from obskit.multigraph import (
     canonical_form,
     contract_edge,
     delete_edge,
-    delete_vertex,
+    delete_vertices,
     enumerate_graphs,
     lift_pair,
 )
@@ -174,7 +174,7 @@ def _random_minor_step(g, rng):
             [("c", (u, v)) for u, v, _ in g.edges]
     kind, arg = moves[rng.randrange(len(moves))]
     if kind == "v":
-        return delete_vertex(g, arg)
+        return delete_vertices(g, (arg,))
     if kind == "e":
         return delete_edge(g, *arg)
     return contract_edge(g, *arg, simple=True)
@@ -190,7 +190,7 @@ def _random_immersion_step(g, rng):
                 moves.append(("l", (x, y, z)))
     kind, arg = moves[rng.randrange(len(moves))]
     if kind == "v":
-        return delete_vertex(g, arg)
+        return delete_vertices(g, (arg,))
     if kind == "e":
         return delete_edge(g, *arg)
     return lift_pair(g, *arg)

@@ -532,6 +532,16 @@ def test_omnivore_walk_links_every_step_of_a_builtin_class(tmp_path):
     assert [ln.split()[-1] for ln in lines[2:]] == ["-", "True", "True", "True"]
 
 
+def test_omnivore_walk_runs_a_builtin_class_at_its_fixture_multiplicity(tmp_path):
+    # theta_like ships its obstructions at multiplicity 2, so the chain
+    # reaches theta(2), the double edge, not K2
+    lines = _run_script(tmp_path, "omnivore_walk.py", "--class", "theta_like",
+                        "--steps", "3").splitlines()
+    assert lines[0] == "class=theta_like relation=immersion steps=3"
+    assert [ln.split()[1:] for ln in lines[2:]] == [
+        ["1", "0", "-"], ["2", "2", "True"], ["2", "2", "True"]]
+
+
 def test_omnivore_walk_links_every_step_of_a_class_spec_file(tmp_path):
     spec = tmp_path / "no_k4.txt"
     spec.write_text("relation minor\nmode simple\n\n" + format_graph_text(complete(4)))

@@ -190,6 +190,17 @@ def test_class_spec_roundtrip():
         parse_class_spec("mode simple\n\nn 1\n")
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("blank", ["", " ", "\t "])
+def test_class_spec_splits_on_lines_blank_after_strip(newline, blank):
+    text = newline.join(["relation minor", "mode multi 3", blank, "n 3",
+                         "e 0 1 1", "e 0 2 1", "e 1 2 1", blank, "n 2",
+                         "e 0 1 4", ""])
+    spec = parse_class_spec(text)
+    assert spec.relation is Relation.MINOR and spec.mult_cap == 3
+    assert spec.obstructions == (complete(3), theta(4))
+
+
 @pytest.mark.parametrize("header", [
     "mode", "mode multi 0", "mode multi 50", "mode multi x", "mode multi -1",
     "mode multi 2 3", "mode loose"])

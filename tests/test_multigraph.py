@@ -14,7 +14,7 @@ from obskit.multigraph import (
     canonical_form,
     contract_edge,
     delete_edge,
-    delete_vertex,
+    delete_vertices,
     enum_key,
     enumerate_graphs,
     format_graph_set,
@@ -79,8 +79,10 @@ def test_constructor_rejects_bad_edges():
         MultiGraph(2, ((0, 1, 0),))
     with pytest.raises(ValueError):
         MultiGraph(2, ((0, 2, 1),))
-    with pytest.raises(ValueError):
-        MultiGraph(3, ((1, 2, 1), (0, 1, 1)))  # unsorted
+    with pytest.raises(ValueError, match="must be sorted"):
+        MultiGraph(3, ((1, 2, 1), (0, 1, 1)))
+    with pytest.raises(ValueError, match="duplicate edge pair"):
+        MultiGraph(3, ((0, 1, 1), (0, 1, 2)))
     with pytest.raises(ValueError):
         MultiGraph.build(3, [(0, 0)])
     with pytest.raises(ValueError):
@@ -106,21 +108,32 @@ def test_degree_views():
 # -- elementary operations ---------------------------------------------------
 
 
-def test_delete_vertex_relabels_downward():
+def test_delete_vertices_relabels_downward():
     g = P(4)
-    h = delete_vertex(g, 1)
+    h = delete_vertices(g, (1,))
     assert h.n == 3
     assert h.edges == ((1, 2, 1),)
-    with pytest.raises(ValueError):
-        delete_vertex(g, 4)
+    assert delete_vertices(g, (3, 0)).edges == ((0, 1, 1),)
+    assert delete_vertices(g, ()) == g
+    for bad in ((4,), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            delete_vertices(g, bad)
+
+
+def test_delete_vertices_equals_single_deletions_in_descending_order():
+    for g in enumerate_graphs(5, 2):
+        for size in range(g.n + 1):
+            for gone in itertools.combinations(range(g.n), size):
+                h = g
+                for v in reversed(gone):
+                    h = delete_vertices(h, (v,))
+                assert delete_vertices(g, gone) == h, (g, gone)
 
 
 def test_delete_edge_unit_semantics():
     g = MultiGraph.build(2, [(0, 1, 3)])
     assert delete_edge(g, 0, 1).edges == ((0, 1, 2),)
-    assert delete_edge(g, 1, 0, units=3).edges == ()
-    with pytest.raises(ValueError):
-        delete_edge(g, 0, 1, units=4)
+    assert delete_edge(delete_edge(delete_edge(g, 1, 0), 0, 1), 1, 0).edges == ()
     with pytest.raises(ValueError):
         delete_edge(P(3), 0, 2)
 
@@ -129,7 +142,7 @@ def test_contract_edge_modes():
     # contracting one side of C4 closes a parallel pair
     g = C(4)
     assert contract_edge(g, 0, 1, simple=False).edges == ((0, 1, 1), (0, 2, 1), (1, 2, 1))
-    assert contract_edge(C(3), 0, 1).edges == ((0, 1, 1),)  # simple default
+    assert contract_edge(C(3), 0, 1, simple=True).edges == ((0, 1, 1),)
     multi = MultiGraph.build(3, [(0, 1, 2), (0, 2), (1, 2)])
     assert contract_edge(multi, 0, 1, simple=False).edges == ((0, 1, 2),)
 
@@ -139,6 +152,8 @@ def test_lift_pair_conserves_endpoint_degrees():
     h = lift_pair(g, 0, 1, 2)
     assert h.n == 3
     assert h.edges == ((0, 2, 1),)
+    multi = MultiGraph.build(3, [(0, 1, 2), (1, 2), (0, 2)])
+    assert lift_pair(multi, 0, 1, 2).edges == ((0, 1, 1), (0, 2, 2))
     with pytest.raises(ValueError):
         lift_pair(g, 0, 1, 0)
     with pytest.raises(ValueError):
@@ -149,7 +164,7 @@ def test_subdivide_then_contract_roundtrips():
     g = K(3)
     h = subdivide_edge(g, 0, 1)
     assert h.n == 4 and h.multiplicity(0, 1) == 0
-    back = contract_edge(h, 0, 3)
+    back = contract_edge(h, 0, 3, simple=True)
     assert are_isomorphic(back, g)
 
 
@@ -326,7 +341,7 @@ def test_grower_members_match_filtered_enumeration(n_max, mult_max, member):
 
     def top_deletions(g):
         value = [(g.edge_degrees[v], g.degrees[v]) for v in range(g.n)]
-        return [delete_vertex(g, v) for v in range(g.n) if value[v] == max(value)]
+        return [delete_vertices(g, (v,)) for v in range(g.n) if value[v] == max(value)]
 
     # the non-members are those left by extending members: some deletion of
     # a vertex of largest (edge degree, distinct neighbours) is a member
@@ -528,6 +543,13 @@ def test_graph_set_roundtrip_preserves_order():
     batch = [K0, P(3), C(4), MultiGraph.build(2, [(0, 1, 5)])]
     text = format_graph_set(batch, comment="four graphs")
     assert parse_graph_set(text) == batch
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("blank", ["", " ", "\t "])
+def test_graph_set_splits_on_lines_blank_after_strip(newline, blank):
+    text = newline.join(["n 1", blank, "n 2", "e 0 1 1", blank, ""])
+    assert parse_graph_set(text) == [MultiGraph(1), P(2)]
 
 
 def test_parse_graph_text_rejects_garbage():

@@ -1,8 +1,9 @@
 import networkx as nx
 import pytest
 
-from obskit.multigraph import (BudgetExceededError, MultiGraph, _layer,
-                               canonical_form, enumerate_graphs, tree_code)
+from obskit.multigraph import (BudgetExceededError, MultiGraph, _is_tree,
+                               _layer, canonical_form, enumerate_graphs,
+                               tree_code)
 from obskit.families import complete, complete_bipartite, grid, path, star, theta
 from obskit.obstructions import (
     BUILTIN_CLASSES,
@@ -18,8 +19,7 @@ from obskit.obstructions import (
     is_theta_like,
 )
 from obskit.parameters import treewidth
-from obskit.relations import (Mode, Relation, _is_tree, _single_steps,
-                              is_antichain)
+from obskit.relations import Mode, Relation, _single_steps, is_antichain
 
 from conftest import copies
 

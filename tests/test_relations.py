@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obskit.multigraph import (BudgetExceededError, MultiGraph, canonical_form,
-                               enumerate_graphs, _component_mask)
+                               enumerate_graphs, format_graph_text,
+                               _component_mask)
 from obskit import relations
 from obskit.families import (
     complete,
@@ -236,6 +238,24 @@ def test_single_steps_are_sound_and_complete(rel, mode):
         for h in universe:
             if contains(rel, h, g, mode=mode) and not contains(rel, g, h, mode=mode):
                 assert any(contains(rel, h, r, mode=mode) for r in steps)
+
+
+#: sha256 of the concatenated format_graph_text of every single step, in
+#: step order, of every graph of (5,2) then (6,1), per relation and mode
+SINGLE_STEPS_SHA256 = \
+    "fa1467fd5d0c2b683b36aadccf157825a206e4713f740ed22aa21c61ee3f1dd9"
+
+
+def test_single_steps_are_pinned_with_their_labels():
+    digest = hashlib.sha256()
+    graphs = [*enumerate_graphs(5, 2), *enumerate_graphs(6, 1)]
+    assert len(graphs) == 1082
+    for g in graphs:
+        for rel in (Relation.MINOR, Relation.TOPOLOGICAL_MINOR, Relation.IMMERSION):
+            for mode in (Mode.SIMPLE, Mode.MULTI):
+                for r in _single_steps(g, rel, mode):
+                    digest.update(format_graph_text(r).encode())
+    assert digest.hexdigest() == SINGLE_STEPS_SHA256
 
 
 def _step_closure(g, rel):

@@ -155,12 +155,12 @@ def test_block_collection_families_are_incomparable():
     vertex away from a forest, and the plain apex shape holds K_{2,3} while
     the dual shape is outerplanar.
     """
-    from obskit.multigraph import delete_vertex
+    from obskit.multigraph import delete_vertices
 
     ta, td = ternary_tree_apex(2), ternary_tree_apex_dual(2)
     two_triangles = copies(2, K3)
     assert contains(Relation.MINOR, two_triangles, td)
-    assert any(is_forest(delete_vertex(ta, v)) for v in range(ta.n))
+    assert any(is_forest(delete_vertices(ta, (v,))) for v in range(ta.n))
     assert not contains(Relation.MINOR, two_triangles, ta)
 
     k23 = complete_bipartite(2, 3)
