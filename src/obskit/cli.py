@@ -66,6 +66,8 @@ def read_graph_file(path: str) -> MultiGraph:
         raise ValueError(f"no graph data in {path!r}")
     if body[0].split()[0] == "n":
         return parse_graph_text(text)
+    if len(body) > 1:
+        raise ValueError(f"more than one graph6 line in {path!r}")
     return from_graph6(body[0].strip())
 
 

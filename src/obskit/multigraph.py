@@ -787,6 +787,8 @@ def from_graph6(s: str) -> MultiGraph:
     else:
         n = ord(s[0]) - 63
         rest = s[1:]
+        if n > 62:  # 126 starts the long form
+            raise GraphFormatError("bad graph6 header")
     if n < 0:
         raise GraphFormatError("bad graph6 header")
     need = (n * (n - 1) // 2 + 5) // 6

@@ -1,10 +1,10 @@
 """Finite quasi-order utilities: width, chain partitions, the Rado order.
 
-Width comes with its proof. One maximum bipartite matching M gives a
-partition into n - |M| chains, and König's theorem turns the same matching
-into a minimum vertex cover whose uncovered elements form an antichain of
-that size. Both are checked before any answer is returned, so the width is
-proved at every size.
+Width comes with its proof. One maximum bipartite matching M, grown by
+Kuhn's augmenting paths, gives a partition into n - |M| chains, and
+König's theorem turns the same matching into a minimum vertex cover whose
+uncovered elements form an antichain of that size. Both are checked
+before any answer is returned, so the width is proved at every size.
 """
 from __future__ import annotations
 
@@ -141,8 +141,8 @@ def rado_star_antichain_witness(m: int, n: int) -> bool:
     keeps (i', i'+1) that no row-i element sits below, so deep enough
     truncations stay pairwise incomparable in both directions.
     """
-    if not m < n:
-        raise ValueError("need m < n")
+    if not 1 <= m < n:
+        raise ValueError("need 1 <= m < n")
     rows = [[(i, j) for j in range(i + 1, n + 1)] for i in range(1, m + 1)]
     for a in range(len(rows)):
         for b in range(len(rows)):
@@ -161,30 +161,45 @@ def _check_size(n: int):
         raise ValueError(f"poset too large ({n} > {MAX_POSET_SIZE})")
 
 
+def _augment(i, above, pred, seen) -> bool:
+    """Kuhn's depth-first search for an augmenting path from left copy i.
+
+    Marks the right copies it reaches in `seen`, and flips a path it finds
+    into `pred`, which maps each matched right copy to its left copy.
+    """
+    for j in above[i]:
+        if j not in seen:
+            seen.add(j)
+            if j not in pred or _augment(pred[j], above, pred, seen):
+                pred[j] = i
+                return True
+    return False
+
+
+def _matching(above) -> dict:
+    """Maximum matching of left copies to right copies, as `pred`."""
+    pred = {}
+    for i in range(len(above)):
+        _augment(i, above, pred, set())
+    return pred
+
+
 def _dilworth(p: FinitePoset) -> list[list[int]]:
     """Minimum chain partition, each chain ascending, proved by an antichain.
 
     A maximum matching M of left copies to right copies along the strict
-    order links n - |M| chains.  The alternating search from the unmatched
-    left copies marks a set Z, and (left copies outside Z) + (right copies
-    in Z) is a minimum vertex cover (König).  The elements with neither copy
-    in the cover form an antichain as large as the chain count, so both are
-    optimal by weak duality (Fulkerson 1956).
+    order links n - |M| chains.  One more augmenting round from the
+    unmatched left copies must fail; what it reaches, with the partners of
+    the right copies reached, is a set Z, and (left copies outside Z) +
+    (right copies in Z) is a minimum vertex cover (König).  The elements
+    with neither copy in the cover form an antichain as large as the chain
+    count, so both are optimal by weak duality (Fulkerson 1956).
     """
-    import networkx as nx   # only here, so loading obskit does not load it
-
     _check_size(len(p))
     n = len(p)
-    # left copy i is node i and right copy j is node n + j: integer nodes
-    # hash the same in every run, so the matching does not vary with
-    # PYTHONHASHSEED
-    B = nx.Graph()
-    B.add_nodes_from(range(2 * n))
     above = [[j for j in range(n) if i != j and p.le[i][j]] for i in range(n)]
-    B.add_edges_from((i, n + j) for i in range(n) for j in above[i])
-    match = nx.bipartite.maximum_matching(B, top_nodes=range(n))
-    succ = {a: b - n for a, b in match.items() if a < n}
-    pred = {j: i for i, j in succ.items()}
+    pred = _matching(above)
+    succ = {i: j for j, i in pred.items()}
     chains = []
     for start in range(n):
         if start not in pred:
@@ -192,17 +207,11 @@ def _dilworth(p: FinitePoset) -> list[list[int]]:
             while chain[-1] in succ:
                 chain.append(succ[chain[-1]])
             chains.append(chain)
-    left = [i for i in range(n) if i not in succ]
-    reached_left, reached_right = set(left), set()
-    while left:
-        for j in above[left.pop()]:
-            if j not in reached_right:
-                if j not in pred:
-                    raise AssertionError("matching is not maximum; bug")
-                # pred[j] is matched, so only its partner j reaches it
-                reached_right.add(j)
-                reached_left.add(pred[j])
-                left.append(pred[j])
+    free = [i for i in range(n) if i not in succ]
+    reached_right = set()
+    if any(_augment(i, above, pred, reached_right) for i in free):
+        raise AssertionError("matching is not maximum; bug")
+    reached_left = set(free) | {pred[j] for j in reached_right}
     anti = sorted(reached_left - reached_right)
     if (len(anti) != len(chains)
             or any(p.le[a][b] for a in anti for b in anti if a != b)

@@ -1,8 +1,8 @@
 import random
 
-import networkx as nx
 from hypothesis import settings, strategies as st
 
+from obskit import poset
 from obskit.multigraph import (MultiGraph, _from_canonical, canonical_form,
                                delete_edge)
 
@@ -68,13 +68,12 @@ def shuffled(g, seed):
 
 
 def drop_one_matched_pair(monkeypatch):
-    """Make networkx's bipartite matching forget one of its matched pairs."""
-    real = nx.bipartite.maximum_matching
+    """Make the poset width's matching forget one of its matched pairs."""
+    real = poset._matching
 
-    def corrupted(B, top_nodes=None):
-        match = dict(real(B, top_nodes=top_nodes))
-        left = min(node for node in match if node in top_nodes)
-        del match[match.pop(left)]
-        return match
+    def corrupted(above):
+        pred = real(above)
+        del pred[min(pred)]
+        return pred
 
-    monkeypatch.setattr(nx.bipartite, "maximum_matching", corrupted)
+    monkeypatch.setattr(poset, "_matching", corrupted)

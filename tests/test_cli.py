@@ -60,6 +60,22 @@ def test_contain_reads_graph6(capsys, files):
     assert json.loads(out)["contains"] is False
 
 
+def test_a_graph6_header_past_62_vertices_is_a_runtime_error(capsys, files):
+    g = files("g.g6", "\x7f" + "?" * 336 + "\n")
+    code, out, err = run(capsys, "param", "--kind", "edge_degree", "--g", g)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "bad graph6 header"}
+
+
+def test_a_graph6_file_holding_two_graphs_is_a_runtime_error(capsys, files):
+    g = files("g.g6", "Bw\nC~\n")
+    code, out, err = run(capsys, "param", "--kind", "edge_degree", "--g", g)
+    assert (code, out) == (1, "")
+    assert "more than one graph6 line" in json.loads(err)["error"]
+    g = files("c.g6", "# the triangle\nBw\n")
+    assert run(capsys, "param", "--kind", "edge_degree", "--g", g)[0] == 0
+
+
 def test_contain_missing_file_is_a_runtime_error(capsys, files):
     h = files("h.txt", format_graph_text(star(3)))
     code, _, err = run(capsys, "contain", "--relation", "minor",
@@ -374,6 +390,13 @@ def test_poset_rado_combined(capsys):
     assert data["witness"] == {"m": 2, "n": 5, "incomparable": True}
 
 
+@pytest.mark.parametrize("m, n", [("0", "1"), ("-3", "5"), ("4", "4")])
+def test_poset_rado_witness_needs_a_nonempty_family(capsys, m, n):
+    code, out, err = run(capsys, "poset", "rado", "--witness", m, n)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "need 1 <= m < n"}
+
+
 def test_poset_width_from_file(capsys, files):
     p = files("p.txt", "elem a\nelem b\nelem c\nle a b\nle a c\n")
     code, out, _ = run(capsys, "poset", "width", "--poset", p)
@@ -465,9 +488,15 @@ def _networkx_modules_after(code):
 
 
 def test_loading_obskit_leaves_networkx_unloaded():
-    # networkx costs the load path memory and time; the one function that
-    # still uses it imports it itself
+    # networkx costs the load path memory and time; only the tests use it
     assert _networkx_modules_after("import obskit.cli") == "[]"
+
+
+def test_poset_width_and_chains_leave_networkx_unloaded():
+    assert _networkx_modules_after(
+        "from obskit.poset import chain_partition, poset_width, rado_truncation; "
+        "p = rado_truncation(10); "
+        "assert poset_width(p) == len(chain_partition(p)) == 10") == "[]"
 
 
 def test_the_tree_corpus_leaves_networkx_unloaded():

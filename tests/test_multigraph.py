@@ -9,6 +9,7 @@ from obskit.multigraph import (
     K0,
     MAX_MULTIPLICITY,
     BudgetExceededError,
+    GraphFormatError,
     MultiGraph,
     are_isomorphic,
     canonical_form,
@@ -537,6 +538,13 @@ def test_graph6_roundtrip_for_simple_graphs(g):
 def test_graph6_rejects_multigraphs():
     with pytest.raises(ValueError):
         to_graph6(MultiGraph.build(2, [(0, 1, 2)]))
+
+
+def test_graph6_one_byte_header_stops_at_62_vertices():
+    assert from_graph6("}" + "?" * 316) == MultiGraph(62)
+    # 0x7F would read as 64 vertices; a one-byte header holds 0 to 62
+    with pytest.raises(GraphFormatError, match="bad graph6 header"):
+        from_graph6("\x7f" + "?" * 336)
 
 
 def test_graph_set_roundtrip_preserves_order():

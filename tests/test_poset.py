@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +112,34 @@ def test_dilworth_on_random_posets(n, rng):
         assert all(p.le[a][b] for a, b in zip(c, c[1:]))
 
 
+def networkx_width(p):
+    """n minus the size of networkx's maximum matching along the strict order."""
+    import networkx as nx
+
+    n = len(p)
+    B = nx.Graph()
+    B.add_nodes_from(range(2 * n))
+    B.add_edges_from((i, n + j) for i in range(n) for j in range(n)
+                     if i != j and p.le[i][j])
+    return n - len(nx.bipartite.maximum_matching(B, top_nodes=range(n))) // 2
+
+
+@pytest.mark.parametrize("seed, density", [(1, 0.02), (2, 0.1), (3, 0.3), (4, 0.7)])
+def test_width_matches_networkx_on_random_posets(seed, density):
+    rng = random.Random(seed)
+    for n in (0, 1, 2, 5, 12, 30, 75, 140, 200):
+        p = poset_from_relations(range(n), [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < density])
+        assert poset_width(p) == networkx_width(p)
+
+
+@pytest.mark.parametrize("n", range(2, 20))
+def test_width_matches_networkx_on_rado_truncations(n):
+    p = rado_truncation(n)
+    assert poset_width(p) == networkx_width(p) == n
+
+
 def test_a_non_maximum_matching_is_caught(monkeypatch):
     drop_one_matched_pair(monkeypatch)
     p = rado_truncation(10)
@@ -167,8 +196,9 @@ def test_rado_truncation_width():
 def test_witness_rows_are_incomparable():
     assert rado_star_antichain_witness(2, 3)
     assert rado_star_antichain_witness(3, 8)
-    with pytest.raises(ValueError):
-        rado_star_antichain_witness(4, 4)
+    for m, n in ((4, 4), (0, 1), (-3, 5)):
+        with pytest.raises(ValueError, match="need 1 <= m < n"):
+            rado_star_antichain_witness(m, n)
 
 
 def test_set_below_hoare_direction():
