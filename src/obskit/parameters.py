@@ -18,7 +18,10 @@ graphs whose bounds meet or nearly meet visit few of the 2^n prefixes.
   min-fill and min-degree elimination above, whose order read backwards is
   the layout; the value must lie between them.
   treewidth_by_elimination deliberately skips the bounds: it stays the raw
-  DP, so comparing the two solvers remains a real cross-check.
+  DP, filling all 2^n vertex sets S with the least, over the components C
+  of G[S] and the v in C, of max(TW(S - v), |N(C) - S|).  It shares no
+  search helper with treewidth (only `simplify` and `neighbor_masks`), so
+  comparing the two solvers remains a real cross-check.
 - pathwidth: minor-min-width below (mmw <= tw <= pw), a greedy cheapest-next
   layout above.
 - cutwidth: the same greedy above; below, the larger of half the largest
@@ -229,34 +232,45 @@ def treewidth(g: MultiGraph) -> tuple[int, Layout]:
 def treewidth_by_elimination(g: MultiGraph) -> int:
     """Treewidth again, as the cheapest worst elimination degree.
 
-    Eliminating v costs the number of still-present vertices adjacent to
-    the component of v inside the already-eliminated region plus v.  Kept
-    as a separately coded oracle so the two solvers can be compared.
+    Fills all 2^n vertex sets S with TW(S) = min over v in S of
+    max(TW(S - v), |N(C) - S|), where C is the component of v in G[S]
+    (Bodlaender, Fomin, Koster, Kratsch and Thilikos, ESA 2006).  The cost
+    depends on C alone, so each component of G[S] is grown and priced once,
+    from a table of subset neighbourhoods.  No bound, greedy order or early
+    exit, and no search helper shared with `treewidth`: it stays a
+    separately coded oracle so the two solvers can be compared.
     """
     g = g.simplify()
     _check_cap(g, MAX_TREEWIDTH_VERTICES, "treewidth")
     n = g.n
     nmask = g.neighbor_masks
-    full = (1 << n) - 1
     size = 1 << n
+    nb = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        nb[s] = nb[s ^ low] | nmask[low.bit_length() - 1]
     dp = [n] * size
     dp[0] = 0
     for s in range(1, size):
         best = n
-        for v in range(n):
-            bit = 1 << v
-            if not s & bit:
+        rest = s
+        while rest:
+            comp = rest & -rest
+            while (grown := comp | nb[comp] & s) != comp:
+                comp = grown
+            rest ^= comp
+            cost = (nb[comp] & ~s).bit_count()
+            if cost >= best:
                 continue
-            prev = s ^ bit
-            if dp[prev] >= best:
-                continue
-            comp = _component_mask(v, prev | bit, nmask)
-            cost = (_mask_neighbors(comp, nmask) & full & ~(prev | bit)).bit_count()
-            val = dp[prev] if dp[prev] > cost else cost
-            if val < best:
-                best = val
+            m = comp
+            while m:
+                low = m & -m
+                d = dp[s ^ low]
+                if d < best:
+                    best = d if d > cost else cost
+                m ^= low
         dp[s] = best
-    return dp[full]
+    return dp[size - 1]
 
 
 def pathwidth(g: MultiGraph) -> tuple[int, Layout]:

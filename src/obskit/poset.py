@@ -139,10 +139,12 @@ def rado_star_antichain_witness(m: int, n: int) -> bool:
     The sets A_i = {(i, j) | i < j <= n} for 1 <= i <= m.  Row i keeps the
     element (i, min(i', n)) that no row-i' element sits above, and row i'
     keeps (i', i'+1) that no row-i element sits below, so deep enough
-    truncations stay pairwise incomparable in both directions.
+    truncations stay pairwise incomparable in both directions.  n may not
+    exceed `MAX_POSET_SIZE`.
     """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
+    _check_size(n)
     rows = [[(i, j) for j in range(i + 1, n + 1)] for i in range(1, m + 1)]
     for a in range(len(rows)):
         for b in range(len(rows)):

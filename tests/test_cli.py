@@ -397,6 +397,13 @@ def test_poset_rado_witness_needs_a_nonempty_family(capsys, m, n):
     assert json.loads(err) == {"error": "need 1 <= m < n"}
 
 
+@pytest.mark.parametrize("m, n", [("2", "201"), ("1000", "2000")])
+def test_poset_rado_witness_is_capped(capsys, m, n):
+    code, out, err = run(capsys, "poset", "rado", "--witness", m, n)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": f"poset too large ({n} > 200)"}
+
+
 def test_poset_width_from_file(capsys, files):
     p = files("p.txt", "elem a\nelem b\nelem c\nle a b\nle a c\n")
     code, out, _ = run(capsys, "poset", "width", "--poset", p)

@@ -97,12 +97,71 @@ def test_size_caps_raise():
         cutwidth(path(P.MAX_CUTWIDTH_VERTICES + 1))
     with pytest.raises(BudgetExceededError):
         z_apex(path(P.MAX_Z_APEX_VERTICES + 1), [K3])
+    assert P.MAX_TREEWIDTH_VERTICES == P.MAX_PATHWIDTH_VERTICES == 16
+    for solver in (treewidth_by_elimination, pathwidth, bi_pathwidth):
+        with pytest.raises(BudgetExceededError):
+            solver(path(17))
 
 
 @settings(max_examples=60)
-@given(multigraphs(max_n=6, max_mult=1, min_n=0))
+@given(multigraphs(max_n=8, max_mult=1, min_n=0))
 def test_two_treewidth_solvers_agree(g):
     assert treewidth(g)[0] == treewidth_by_elimination(g)
+
+
+def _treewidth_by_elimination_per_vertex(g):
+    """The elimination DP before components were priced once: for each set
+    and each vertex in it, grow the vertex's component anew."""
+    g = g.simplify()
+    n = g.n
+    nmask = g.neighbor_masks
+    full = (1 << n) - 1
+    size = 1 << n
+    dp = [n] * size
+    dp[0] = 0
+    for s in range(1, size):
+        best = n
+        for v in range(n):
+            bit = 1 << v
+            if not s & bit:
+                continue
+            prev = s ^ bit
+            if dp[prev] >= best:
+                continue
+            comp = _component_mask(v, prev | bit, nmask)
+            cost = (P._mask_neighbors(comp, nmask) & full & ~(prev | bit)).bit_count()
+            val = dp[prev] if dp[prev] > cost else cost
+            if val < best:
+                best = val
+        dp[s] = best
+    return dp[full]
+
+
+def _gnp(rng, n, p):
+    return MultiGraph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+
+
+def test_elimination_dp_matches_the_per_vertex_loop():
+    rng = random.Random(2901)
+    graphs = list(enumerate_graphs(7, 1)) + list(enumerate_graphs(5, 2))
+    graphs += [MultiGraph(0), MultiGraph(1), MultiGraph(9)]
+    graphs += [_gnp(rng, n, p) for n in range(9, 17) for p in (0.3, 0.6)]
+    for g in graphs:
+        assert treewidth_by_elimination(g) == _treewidth_by_elimination_per_vertex(g), g
+
+
+def test_elimination_dp_uses_no_search_helper(monkeypatch):
+    # the oracle shares only simplify and neighbor_masks with `treewidth`
+    graphs = list(enumerate_graphs(6, 1))
+    expected = [treewidth_by_elimination(g) for g in graphs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("treewidth_by_elimination called a search helper")
+    for name in ("_component_mask", "_mask_neighbors", "_tw_bounds",
+                 "_minor_min_width", "_layout_search"):
+        monkeypatch.setattr(P, name, forbidden)
+    assert [treewidth_by_elimination(g) for g in graphs] == expected
 
 
 def test_treewidth_bounds_hold_exhaustively():

@@ -201,6 +201,13 @@ def test_witness_rows_are_incomparable():
             rado_star_antichain_witness(m, n)
 
 
+def test_witness_columns_are_capped_like_a_poset():
+    assert rado_star_antichain_witness(3, MAX_POSET_SIZE)
+    for m, n in ((2, MAX_POSET_SIZE + 1), (1000, 2000)):
+        with pytest.raises(ValueError, match=rf"poset too large \({n} > 200\)"):
+            rado_star_antichain_witness(m, n)
+
+
 def test_set_below_hoare_direction():
     le = rado_order
     assert set_below(le, [], [(0, 1)])
