@@ -21,7 +21,7 @@ from .families import GRID_FAMILY, family_by_name
 from .multigraph import (BudgetExceededError, MultiGraph, format_graph_text,
                          from_graph6, parse_graph_text)
 from .obstructions import BUILTIN_CLASSES, compute_obstructions
-from .parameters import parse_kind, parameter_value, z_apex
+from .parameters import parse_kind, z_apex
 from .poset import (chain_partition, parse_poset_text, poset_width,
                     rado_star_antichain_witness, rado_truncation)
 from .relations import Mode, Relation, contains, default_mode, parse_relation
@@ -111,21 +111,18 @@ def cmd_contain(args) -> int:
 def cmd_param(args) -> int:
     g = read_graph_file(args.g)
     kind = parse_kind(args.kind, [read_graph_file(p) for p in args.z])
-    if args.z and kind.tag != "z_apex":
+    if args.z and not kind.z_list:
         raise ValueError("--z is read only by --kind z_apex")
-    if kind.tag == "z_apex":
-        value, witness = z_apex(g, kind.z_list)
-        witness_out = list(witness)
-    else:
-        value = parameter_value(kind, g)
-        witness_out = None
     payload = {
         "kind": kind.tag,
-        "value": value,
         "config": _config(args, monotone_relation=kind.monotone_relation.value),
     }
-    if witness_out is not None:
-        payload["witness"] = witness_out
+    if kind.z_list:
+        value, witness = z_apex(g, kind.z_list)
+        payload["witness"] = list(witness)
+    else:
+        value = kind.solve(g)
+    payload["value"] = value
     _emit(args, payload, (("kind", "value"), ((kind.tag, value),)))
     return 0
 

@@ -512,6 +512,20 @@ def _block_sets(g: MultiGraph) -> list[frozenset[int]]:
     return out
 
 
+def _rooted(t: MultiGraph, root: int) -> tuple[list[list[int]], list[int]]:
+    """Child lists of the vertices reachable from root, and those vertices
+    in breadth-first order, every parent before its children."""
+    children: list[list[int]] = [[] for _ in range(t.n)]
+    order, seen = [root], {root}
+    for v in order:
+        for w in t.adj[v]:
+            if w not in seen:
+                seen.add(w)
+                children[v].append(w)
+                order.append(w)
+    return children, order
+
+
 def tree_code(g: MultiGraph) -> str | None:
     """Canonical code for a simple connected acyclic graph, else None.
 
@@ -537,15 +551,20 @@ def tree_code(g: MultiGraph) -> str | None:
         remaining -= len(layer)
         layer = nxt
 
-    def code(v, parent):
-        subs = sorted(code(w, v) for w in g.adj[v] if w != parent)
-        return "(" + "".join(subs) + ")"
+    def code(root):
+        children, order = _rooted(g, root)
+        out = [""] * g.n
+        for v in reversed(order):
+            out[v] = "(" + "".join(sorted(out[c] for c in children[v])) + ")"
+        return out[root]
 
     centers = [v for v in range(g.n) if adj[v]] or layer
-    return min(code(c, -1) for c in centers[:2])
+    return min(code(c) for c in centers[:2])
 
 
-def are_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
+def _settled_isomorphism(a: MultiGraph, b: MultiGraph) -> bool | None:
+    """Whether a and b are isomorphic when a cheap test settles it (sizes,
+    identical edges, degree multisets, tree codes), else None."""
     if a.n != b.n or a.total_units != b.total_units:
         return False
     if a.edges == b.edges:
@@ -555,7 +574,12 @@ def are_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
     ca, cb = tree_code(a), tree_code(b)
     if ca is not None or cb is not None:
         return ca == cb
-    return canonical_form(a) == canonical_form(b)
+    return None
+
+
+def are_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
+    settled = _settled_isomorphism(a, b)
+    return canonical_form(a) == canonical_form(b) if settled is None else settled
 
 
 def enum_key(g: MultiGraph) -> tuple[int, int, bytes]:

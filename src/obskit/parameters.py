@@ -31,11 +31,16 @@ bi_pathwidth is the maximum pathwidth over blocks.  A minimum would not be
 minor-monotone (a pendant edge glued to K4 would drag the value down to 1),
 so the maximum is the only reading compatible with monotonicity; outputs
 carry a `block_rule: max` flag to make the convention visible.
+
+Each parameter kind is one `ParameterKind` row: its tag, the order it is
+monotone under and its exact solver, `kind.solve(g)`.  `KIND_ALIASES` maps
+every accepted name to its row, so a new kind is one row plus its aliases.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .multigraph import (BudgetExceededError, MultiGraph, _block_sets,
                          _component_mask, delete_vertices)
@@ -338,8 +343,10 @@ def bi_pathwidth(g: MultiGraph) -> int:
 def z_apex(g: MultiGraph, z_list) -> tuple[int, tuple[int, ...]]:
     """Minimum number of vertex deletions leaving no member of z_list as a
     minor, with the deletion set as witness."""
-    _check_cap(g, MAX_Z_APEX_VERTICES, "z_apex")
     z_list = list(z_list)
+    if any(z.n == 0 for z in z_list):
+        raise ValueError("z_apex cannot forbid K0: every graph has it as a minor")
+    _check_cap(g, MAX_Z_APEX_VERTICES, "z_apex")
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             if is_z_apex_witness(g, z_list, combo):
@@ -406,73 +413,55 @@ def is_z_apex_witness(g: MultiGraph, z_list, deletions) -> bool:
 
 @dataclass(frozen=True)
 class ParameterKind:
-    """A named parameter, optionally carrying the forbidden-minor list that
-    the apex variant deletes toward."""
+    """A named parameter: the containment order it is monotone under, its
+    exact solver, and for the apex variant the forbidden minors it deletes
+    toward.  Kinds compare and hash by everything but the solver."""
 
     tag: str
+    monotone_relation: Relation
+    solve: Callable[[MultiGraph], int] = field(compare=False, repr=False)
     z_list: tuple[MultiGraph, ...] = ()
-
-    @property
-    def monotone_relation(self) -> Relation:
-        if self.tag in ("cutwidth", "edge_degree"):
-            return Relation.IMMERSION
-        return Relation.MINOR
 
     def __str__(self) -> str:
         return self.tag
 
 
-TREEWIDTH = ParameterKind("treewidth")
-PATHWIDTH = ParameterKind("pathwidth")
-CUTWIDTH = ParameterKind("cutwidth")
-BI_PATHWIDTH = ParameterKind("bi_pathwidth")
-EDGE_DEGREE = ParameterKind("edge_degree")
+# solvers are looked up when called, so a wrapped module function is seen
+TREEWIDTH = ParameterKind("treewidth", Relation.MINOR, lambda g: treewidth(g)[0])
+PATHWIDTH = ParameterKind("pathwidth", Relation.MINOR, lambda g: pathwidth(g)[0])
+CUTWIDTH = ParameterKind("cutwidth", Relation.IMMERSION, lambda g: cutwidth(g)[0])
+BI_PATHWIDTH = ParameterKind("bi_pathwidth", Relation.MINOR, lambda g: bi_pathwidth(g))
+EDGE_DEGREE = ParameterKind("edge_degree", Relation.IMMERSION, lambda g: edge_degree(g))
 
 
 def z_apex_kind(z_list) -> ParameterKind:
-    return ParameterKind("z_apex", tuple(z_list))
+    z_list = tuple(z_list)
+    return ParameterKind("z_apex", Relation.MINOR, lambda g: z_apex(g, z_list)[0],
+                         z_list)
 
 
+#: every accepted name -> its kind; None for the z_apex names, whose kind
+#: is built around the forbidden minors `parse_kind` is given
 KIND_ALIASES = {
-    "treewidth": "treewidth", "tw": "treewidth",
-    "pathwidth": "pathwidth", "pw": "pathwidth",
-    "cutwidth": "cutwidth", "cw": "cutwidth",
-    "bi_pathwidth": "bi_pathwidth", "bi-pathwidth": "bi_pathwidth",
-    "bi_pw": "bi_pathwidth", "bipw": "bi_pathwidth",
-    "edge_degree": "edge_degree", "edge-degree": "edge_degree",
-    "ed": "edge_degree",
-    "z_apex": "z_apex", "z-apex": "z_apex", "zapex": "z_apex",
+    "treewidth": TREEWIDTH, "tw": TREEWIDTH,
+    "pathwidth": PATHWIDTH, "pw": PATHWIDTH,
+    "cutwidth": CUTWIDTH, "cw": CUTWIDTH,
+    "bi_pathwidth": BI_PATHWIDTH, "bi-pathwidth": BI_PATHWIDTH,
+    "bi_pw": BI_PATHWIDTH, "bipw": BI_PATHWIDTH,
+    "edge_degree": EDGE_DEGREE, "edge-degree": EDGE_DEGREE,
+    "ed": EDGE_DEGREE,
+    "z_apex": None, "z-apex": None, "zapex": None,
 }
-
-
-_KIND_BY_TAG = {k.tag: k for k in
-                (TREEWIDTH, PATHWIDTH, CUTWIDTH, BI_PATHWIDTH, EDGE_DEGREE)}
 
 
 def parse_kind(name: str, z_list=()) -> ParameterKind:
     try:
-        tag = KIND_ALIASES[name.strip().lower()]
+        kind = KIND_ALIASES[name.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown parameter kind {name!r}; choose from "
                          f"{sorted(set(KIND_ALIASES))}")
-    if tag == "z_apex":
-        if not z_list:
-            raise ValueError("z_apex needs a non-empty forbidden-minor list")
-        return z_apex_kind(z_list)
-    return _KIND_BY_TAG[tag]
-
-
-def parameter_value(kind: ParameterKind, g: MultiGraph) -> int:
-    if kind.tag == "treewidth":
-        return treewidth(g)[0]
-    if kind.tag == "pathwidth":
-        return pathwidth(g)[0]
-    if kind.tag == "cutwidth":
-        return cutwidth(g)[0]
-    if kind.tag == "bi_pathwidth":
-        return bi_pathwidth(g)
-    if kind.tag == "edge_degree":
-        return edge_degree(g)
-    if kind.tag == "z_apex":
-        return z_apex(g, kind.z_list)[0]
-    raise ValueError(f"unknown parameter kind {kind.tag!r}")
+    if kind is not None:
+        return kind
+    if not z_list:
+        raise ValueError("z_apex needs a non-empty forbidden-minor list")
+    return z_apex_kind(z_list)

@@ -21,10 +21,12 @@ are capped (8 and 16 vertices by default); callers that know their
 instance is tractable may raise the caps explicitly.  Oversized patterns
 are rejected by the trivial size comparison before the cap applies, and
 equal-size instances are settled by isomorphism, so reflexivity and
-reverse-direction queries work at any size.  A time budget is checked on
-every step of the exponential searches (each placement, routing step and
-walk child), and its error's `detail` gives `budget_ms`, `elapsed_ms` and
-`steps`, the number of those steps taken before the budget ran out.
+reverse-direction queries work at any size (see `_isomorphic`).  A time
+budget is checked on every step of the exponential searches (each
+placement, routing step and walk child, and within the caps the placement
+search that settles an equal-size query), and its error's `detail` gives
+`budget_ms`, `elapsed_ms` and `steps`, the number of those steps taken
+before the budget ran out.
 
 Multiplicity semantics (multi mode):
 
@@ -59,6 +61,8 @@ from .multigraph import (
     BudgetExceededError,
     MultiGraph,
     _is_tree,
+    _rooted,
+    _settled_isomorphism,
     are_isomorphic,
     canonical_form,
     contract_edge,
@@ -445,20 +449,21 @@ def _reduce_host(h: MultiGraph, g: MultiGraph, multi: bool = False) -> MultiGrap
     return g
 
 
-def _children(t: MultiGraph, root: int) -> list[list[int]]:
-    """Child lists of the vertices reachable from root, by one DFS."""
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    seen = [False] * t.n
-    seen[root] = True
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in t.adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                children[v].append(w)
-                stack.append(w)
-    return children
+def _isomorphic(h: MultiGraph, g: MultiGraph, dl: _Deadline,
+                max_pattern: int, max_host: int) -> bool:
+    """Containment between graphs of equal size, which is isomorphism:
+    any strict step of a relation loses a vertex or an edge unit.
+
+    Within the size caps, what the cheap tests of `are_isomorphic` leave
+    open is decided by `_embed` under the query's deadline: with equal
+    vertex and unit counts, an injective map that respects multiplicities
+    is an isomorphism.  Above the caps, canonical forms decide it outside
+    the budget, so that equal-size queries work at any size.
+    """
+    if h.n > max_pattern or g.n > max_host:
+        return are_isomorphic(h, g)
+    settled = _settled_isomorphism(h, g)
+    return _embed(g, h, dl) if settled is None else settled
 
 
 def _tree_minor(h: MultiGraph, g: MultiGraph) -> bool:
@@ -468,50 +473,35 @@ def _tree_minor(h: MultiGraph, g: MultiGraph) -> bool:
     of the host.  Root the host anywhere; the model's topmost host vertex d
     lies in the branch set of some pattern vertex r, and the rest of the
     model hangs below d.  So try every choice of r and d, and decide each
-    by a packing recursion: pack(r, c) is the set of subsets of r's
-    children that the host subtree below c can fully embed while c itself
-    belongs to r's branch set.  A host child either extends the branch set
-    (recurse), hosts exactly one full pattern child (the connecting edge
-    forces its branch set to contain that host child), or is unused.
+    by a packing table: pack[c][v] is the set of subsets of v's children
+    that the host subtree below c can fully embed while c itself belongs to
+    v's branch set.  A host child either extends the branch set, hosts
+    exactly one full pattern child (the connecting edge forces its branch
+    set to contain that host child), or is unused.  The table is filled
+    host children first, so deep trees need no recursion.
     """
     if h.n == 1:
         return True
-    gch = _children(g, 0)
+    gch, gorder = _rooted(g, 0)
     for root in range(h.n):
-        hch = _children(h, root)
-        bit = {(v, c): 1 << i
-               for v in range(h.n) for i, c in enumerate(hch[v])}
-
-        embeds: dict[tuple[int, int], bool] = {}
-        packs: dict[tuple[int, int], frozenset] = {}
-
-        def pack(hv: int, gc: int) -> frozenset:
-            key = (hv, gc)
-            got = packs.get(key)
-            if got is not None:
-                return got
-            masks = {0}
-            for c in gch[gc]:
-                options = set(pack(hv, c))
-                for child in hch[hv]:
-                    if embed(child, c):
-                        options.add(bit[(hv, child)])
-                if options != {0}:
-                    masks = {m | o for m in masks for o in options
-                             if not m & o} | masks
-            got = frozenset(masks)
-            packs[key] = got
-            return got
-
-        def embed(hv: int, gv: int) -> bool:
-            key = (hv, gv)
-            got = embeds.get(key)
-            if got is None:
-                full = (1 << len(hch[hv])) - 1
-                got = embeds[key] = full in pack(hv, gv)
-            return got
-
-        if any(embed(root, d) for d in range(g.n)):
+        hch, _ = _rooted(h, root)
+        full = [(1 << len(kids)) - 1 for kids in hch]
+        pack: list[list[set[int]]] = [[] for _ in range(g.n)]
+        embeds: list[list[bool]] = [[] for _ in range(g.n)]
+        for gv in reversed(gorder):
+            for hv in range(h.n):
+                masks = {0}
+                for c in gch[gv]:
+                    options = set(pack[c][hv])
+                    for i, child in enumerate(hch[hv]):
+                        if embeds[c][child]:
+                            options.add(1 << i)
+                    if options != {0}:
+                        masks = {m | o for m in masks for o in options
+                                 if not m & o} | masks
+                pack[gv].append(masks)
+                embeds[gv].append(full[hv] in masks)
+        if any(embeds[d][root] for d in range(g.n)):
             return True
     return False
 
@@ -530,6 +520,7 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
     """
     if budget_ms is not None and not budget_ms > 0:
         raise ValueError(f"budget_ms must be positive, got {budget_ms!r}")
+    dl = _Deadline(budget_ms)
     rel = parse_relation(rel) if isinstance(rel, str) else rel
     if mode is None:
         mode = default_mode(rel)
@@ -540,9 +531,7 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
     if h.n > g.n or h.total_units > g.total_units:
         return False
     if h.n == g.n and h.total_units == g.total_units:
-        # any strict step of the relation loses a vertex or an edge unit,
-        # so equal-size containment degenerates to isomorphism
-        return are_isomorphic(h, g)
+        return _isomorphic(h, g, dl, max_pattern, max_host)
     if h.n and max(h.edge_degrees) >= 3 and (
             not g.n or max(g.edge_degrees) <= 2):
         # hosts made of paths and cycles stay that way: deletions only
@@ -554,7 +543,7 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
         if h.n > g.n or h.total_units > g.total_units:
             return False
         if h.n == g.n and h.total_units == g.total_units:
-            return are_isomorphic(h, g)
+            return _isomorphic(h, g, dl, max_pattern, max_host)
     if (rel is Relation.MINOR and _is_tree(h) and _is_tree(g)
             and max(h.edge_degrees) <= 12):
         # polynomial and uncapped; the degree guard bounds the mask sets
@@ -564,7 +553,6 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
             "containment instance exceeds the size caps",
             {"pattern_vertices": h.n, "host_vertices": g.n,
              "max_pattern": max_pattern, "max_host": max_host})
-    dl = _Deadline(budget_ms)
     if rel is Relation.SUBGRAPH:
         return _embed(g, h, dl)
     if rel is Relation.MINOR:

@@ -27,8 +27,7 @@ from .families import (GRID_FAMILY, STAR_FAMILY, TERNARY_TREE_APEX_DUAL_FAMILY,
                        ParametricFamily, family_by_name, growth_size)
 from .multigraph import (MultiGraph, _forest, enum_key, enumerate_graphs,
                          tree_code)
-from .parameters import (EDGE_DEGREE, PATHWIDTH, TREEWIDTH, ParameterKind,
-                         parameter_value)
+from .parameters import EDGE_DEGREE, PATHWIDTH, TREEWIDTH, ParameterKind
 from .relations import Relation, contains, parse_relation
 
 # generous caps: scans are already bounded by the size-growth rule, these
@@ -205,7 +204,7 @@ class GapReport:
 def gap_report(kind: ParameterKind, coll: PrimeCollection, corpus) -> GapReport:
     rows = []
     for g in sorted(corpus, key=enum_key):
-        rows.append(GapRow(g, parameter_value(kind, g), p_of_collection(coll, g)))
+        rows.append(GapRow(g, kind.solve(g), p_of_collection(coll, g)))
     env_p: dict[int, int] = {}
     env_c: dict[int, int] = {}
     for row in rows:

@@ -40,6 +40,13 @@ def disjoint_union(a, b):
     return MultiGraph.build(a.n + b.n, edges)
 
 
+def caterpillar(spine, legs):
+    """A path on `spine` vertices with one leaf hung on each of `legs`."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(v, spine + i) for i, v in enumerate(legs)]
+    return MultiGraph.build(spine + len(legs), edges)
+
+
 def copies(k, z):
     """k disjoint copies of z (k >= 1)."""
     if k < 1:

@@ -43,7 +43,6 @@ from obskit.parameters import (
     PATHWIDTH,
     TREEWIDTH,
     BI_PATHWIDTH,
-    parameter_value,
     treewidth,
     treewidth_by_elimination,
 )
@@ -206,13 +205,13 @@ def test_criterion_08_solver_cross_validation_and_monotonicity():
     for kind in (TREEWIDTH, PATHWIDTH, BI_PATHWIDTH):
         for _ in range(500):
             g = minor_pool[rng.randrange(len(minor_pool))]
-            assert parameter_value(kind, _random_minor_step(g, rng)) <= \
-                parameter_value(kind, g), (kind.tag, g)
+            assert kind.solve(_random_minor_step(g, rng)) <= \
+                kind.solve(g), (kind.tag, g)
     for kind in (CUTWIDTH, EDGE_DEGREE):
         for _ in range(500):
             g = multi_pool[rng.randrange(len(multi_pool))]
-            assert parameter_value(kind, _random_immersion_step(g, rng)) <= \
-                parameter_value(kind, g), (kind.tag, g)
+            assert kind.solve(_random_immersion_step(g, rng)) <= \
+                kind.solve(g), (kind.tag, g)
 
 
 def test_criterion_09_omnivore_chain_covers_small_forests():
@@ -259,7 +258,7 @@ def test_criterion_12_gap_reports_and_verdict_soundness():
 
     for name, cert in CERTIFICATES.items():
         for g in CORPORA[cert.corpus]():
-            exact = parameter_value(cert.kind, g)
+            exact = cert.kind.solve(g)
             for k in range(0, 6):
                 verdict = approximate(cert.collection, cert.gap, g, k)
                 if verdict.kind == "ABOVE" and "above" in cert.sides:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import drop_one_matched_pair
+from conftest import drop_one_matched_pair, shuffled
 from obskit.cli import INTERNAL_EXIT, USAGE_EXIT, main
 from obskit.families import FAMILIES, complete, grid, path, star
 from obskit.multigraph import format_graph_text, parse_graph_text, to_graph6
@@ -49,6 +49,17 @@ def test_contain_json(capsys, files):
     assert data["contains"] is True
     assert data["config"]["relation"] == "minor"
     assert data["config"]["conventions"]["grid_base_index"] == 2
+
+
+def test_contain_answers_on_deep_trees(capsys, files):
+    # tree codes and the tree-minor table once recursed along the tree
+    g = files("g.txt", format_graph_text(path(3000)))
+    for relation, h in (("subgraph", shuffled(path(3000), 1)), ("minor", path(5))):
+        h = files("h.txt", format_graph_text(h))
+        code, out, err = run(capsys, "contain", "--relation", relation,
+                             "--h", h, "--g", g)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["contains"] is True
 
 
 def test_contain_reads_graph6(capsys, files):
@@ -113,6 +124,15 @@ def test_param_z_needs_the_z_apex_kind(capsys, files):
     code, out, err = run(capsys, "param", "--kind", "z_apex", "--g", g)
     assert (code, out) == (1, "")
     assert "z_apex needs" in json.loads(err)["error"]
+
+
+def test_param_empty_forbidden_minor_is_a_domain_error(capsys, files):
+    g = files("g.txt", format_graph_text(complete(3)))
+    z = files("z.txt", "n 0\n")
+    code, out, err = run(capsys, "param", "--kind", "z_apex", "--g", g, "--z", z)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "z_apex cannot forbid K0: every graph has it as a minor"}
 
 
 def test_gen_roundtrips_through_contain(capsys, files, tmp_path):

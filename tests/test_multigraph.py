@@ -38,10 +38,11 @@ from obskit.multigraph import (
 from obskit.families import (complete_bipartite, grid, ternary_tree_apex,
                              ternary_tree_apex_dual)
 from obskit.obstructions import BUILTIN_CLASSES, is_forest
+from obskit.universal import tree_corpus
 from obskit.verify import FIXTURE_BOUNDS
 
-from conftest import (copies, disjoint_union, multigraphs, relabel_canonically,
-                      shuffled, subdivide_edge)
+from conftest import (caterpillar, copies, disjoint_union, multigraphs,
+                      relabel_canonically, shuffled, subdivide_edge)
 
 
 def P(n):
@@ -275,6 +276,49 @@ def test_distinct_small_trees_have_distinct_codes():
     star = MultiGraph.build(4, [(0, 1), (0, 2), (0, 3)])
     codes = {tree_code(P(4)), tree_code(star)}
     assert None not in codes and len(codes) == 2
+
+
+def _tree_code_by_recursion(g):
+    """tree_code as it was first written: one recursive call per vertex."""
+    if g.n == 1:
+        return "()"
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    layer = [v for v in range(g.n) if len(adj[v]) == 1]
+    remaining = g.n
+    while remaining > 2:
+        nxt = []
+        for v in layer:
+            (w,) = adj[v]
+            adj[w].discard(v)
+            adj[v].clear()
+            if len(adj[w]) == 1:
+                nxt.append(w)
+        remaining -= len(layer)
+        layer = nxt
+
+    def code(v, parent):
+        subs = sorted(code(w, v) for w in g.adj[v] if w != parent)
+        return "(" + "".join(subs) + ")"
+
+    centers = [v for v in range(g.n) if adj[v]] or layer
+    return min(code(c, -1) for c in centers[:2])
+
+
+def test_tree_code_matches_its_recursive_form_on_every_small_tree():
+    trees = [t for t in tree_corpus(12) if t.n]
+    assert len(trees) == 987
+    for t in trees:
+        assert tree_code(t) == _tree_code_by_recursion(t)
+
+
+def test_deep_trees_are_compared_without_recursion():
+    # the recursive tree code ran out of stack from a 1,000-vertex path on
+    assert are_isomorphic(shuffled(P(3000), 1), P(3000))
+    bunched = caterpillar(2000, range(1, 501))
+    spread = caterpillar(2000, range(1, 1000, 2))
+    assert sorted(bunched.edge_degrees) == sorted(spread.edge_degrees)
+    assert are_isomorphic(shuffled(bunched, 2), bunched)
+    assert not are_isomorphic(shuffled(spread, 3), bunched)
 
 
 # -- enumeration -------------------------------------------------------------

@@ -33,7 +33,6 @@ from obskit.parameters import (
     layout_cutwidth_cost,
     layout_pathwidth_cost,
     layout_treewidth_cost,
-    parameter_value,
     parse_kind,
     pathwidth,
     treewidth,
@@ -405,7 +404,38 @@ def test_monotone_relations_per_kind():
     assert zk.z_list == (K3,)
 
 
-def test_parameter_value_dispatch():
-    assert parameter_value(TREEWIDTH, K4) == 3
-    assert parameter_value(CUTWIDTH, theta(4)) == 4
-    assert parameter_value(z_apex_kind([K3]), K5) == 3
+def test_each_kind_row_solves_with_its_own_solver():
+    for g in (K4, theta(4), grid(3), ternary_tree_apex(2), MultiGraph(0)):
+        assert TREEWIDTH.solve(g) == treewidth(g)[0]
+        assert PATHWIDTH.solve(g) == pathwidth(g)[0]
+        assert CUTWIDTH.solve(g) == cutwidth(g)[0]
+        assert BI_PATHWIDTH.solve(g) == bi_pathwidth(g)
+        assert EDGE_DEGREE.solve(g) == edge_degree(g)
+    assert z_apex_kind([K3]).solve(K5) == 3
+
+
+def test_kind_rows_compare_and_hash_without_the_solver():
+    assert z_apex_kind([K3]) == z_apex_kind((K3,))
+    assert hash(z_apex_kind([K3])) == hash(z_apex_kind([K3]))
+    assert z_apex_kind([K3]) != z_apex_kind([K4])
+    assert TREEWIDTH == ParameterKind("treewidth", Relation.MINOR, lambda g: -1)
+    assert TREEWIDTH != ParameterKind("treewidth", Relation.IMMERSION, lambda g: -1)
+    assert "solve" not in repr(TREEWIDTH)
+    assert str(CUTWIDTH) == "cutwidth"
+
+
+def test_parse_kind_builds_z_apex_around_its_list():
+    assert parse_kind(" Z-Apex ", [K3]) == z_apex_kind([K3])
+    for name in ("z_apex", "zapex"):
+        with pytest.raises(ValueError, match="z_apex needs"):
+            parse_kind(name)
+    assert parse_kind("ed", [K3]) is EDGE_DEGREE
+
+
+def test_z_apex_refuses_an_empty_forbidden_minor():
+    # every graph, K0 included, has K0 as a minor: no deletion set exists
+    for g in (K3, MultiGraph(0)):
+        with pytest.raises(ValueError, match="K0"):
+            z_apex(g, [K3, MultiGraph(0)])
+        with pytest.raises(ValueError, match="K0"):
+            z_apex_kind([MultiGraph(0)]).solve(g)

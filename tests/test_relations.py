@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import time
 
 import pytest
@@ -34,7 +35,7 @@ from obskit.relations import (
     verify_subgraph_map,
 )
 
-from conftest import copies, multigraphs
+from conftest import caterpillar, copies, multigraphs, shuffled
 
 K3, K4, K5 = complete(3), complete(4), complete(5)
 K23 = complete_bipartite(2, 3)
@@ -189,6 +190,69 @@ def test_tree_minor_fast_path_matches_search():
     assert contains(Relation.MINOR, path(40), path(60))
     assert contains(Relation.MINOR, spider, MultiGraph.build(
         25, [(i, i + 1) for i in range(20)] + [(5, 21), (10, 22), (15, 23), (21, 24)]))
+
+
+def test_tree_minor_on_deep_trees():
+    # the recursive packing ran out of stack along a 3,000-vertex host
+    assert contains(Relation.MINOR, path(5), path(3000))
+    assert not contains(Relation.MINOR, star(3), path(3000))
+    host = caterpillar(1500, range(1, 1499, 3))
+    assert contains(Relation.MINOR, caterpillar(6, range(1, 5)), host)
+    # a claw with legs of length two is a minor of no caterpillar
+    spider = MultiGraph.build(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    assert not contains(Relation.MINOR, spider, host)
+    assert contains(Relation.SUBGRAPH, shuffled(path(3000), 4), path(3000))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_equal_size_answers_match_canonical_forms(mode):
+    # within the caps a placement search settles equal-size queries; in
+    # simple mode one multigraph stands for each class of simplifications
+    classes = {}
+    for g in enumerate_graphs(5, 2):
+        seen = g.simplify() if mode is Mode.SIMPLE else g
+        classes.setdefault(canonical_form(seen), (g, seen))
+    checked = 0
+    for h, hs in classes.values():
+        for g, gs in classes.values():
+            if (hs.n, hs.total_units) != (gs.n, gs.total_units):
+                continue
+            want = canonical_form(hs) == canonical_form(gs)
+            assert contains(Relation.SUBGRAPH, h, shuffled(g, checked),
+                            mode=mode) == want, (h, g)
+            checked += 1
+    assert checked == {Mode.MULTI: 60789, Mode.SIMPLE: 181}[mode]
+
+
+def random_regular(n, d, rng):
+    """Edges of a simple d-regular graph on n vertices: the pairing model,
+    drawn again until it has no loop and no repeated pair."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i:i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) == n * d // 2 and all(u != v for u, v in pairs):
+            return sorted(pairs)
+
+
+def test_equal_size_step_runs_under_the_budget():
+    # seed 5: when canonical forms settled these pairs outside the budget,
+    # they took 6.5 s (not isomorphic) and 8.7 s (isomorphic) on a 2-CPU Xeon
+    rng = random.Random(5)
+    edges = random_regular(16, 5, rng)
+    perm = list(range(16))
+    rng.shuffle(perm)
+    g = MultiGraph.build(16, edges)
+    same = MultiGraph.build(16, [(perm[u], perm[v]) for u, v in edges])
+    other = MultiGraph.build(16, random_regular(16, 5, rng))
+    for h, want in ((same, True), (other, False)):
+        start = time.perf_counter()
+        try:
+            got = contains(Relation.SUBGRAPH, h, g, budget_ms=200, max_pattern=16)
+        except BudgetExceededError:
+            got = None
+        assert time.perf_counter() - start < 3
+        assert got in (want, None)
 
 
 @settings(max_examples=60)

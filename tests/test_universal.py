@@ -22,7 +22,6 @@ from obskit.families import (
     theta,
 )
 from obskit.obstructions import is_forest, is_outerplanar
-from obskit.parameters import parameter_value
 from obskit.relations import Relation, contains
 from obskit.universal import (
     BLOCK_COLLECTION,
@@ -277,7 +276,7 @@ def test_certified_sides_hold_beyond_the_corpora(monkeypatch):
                 continue
             exact = known.get(cert.kind.tag)
             if exact is None:
-                exact = parameter_value(cert.kind, g)
+                exact = cert.kind.solve(g)
             for k in range(6):
                 v = approximate(cert.collection, cert.gap, g, k)
                 if (v.kind == "ABOVE" and "above" in sides and exact <= k
