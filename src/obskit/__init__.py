@@ -7,10 +7,10 @@ from .multigraph import (
     BudgetExceededError,
     GraphFormatError,
     canonical_form,
-    are_isomorphic,
     enum_key,
     enumerate_graphs,
 )
+from .relations import are_isomorphic
 
 __all__ = [
     "MultiGraph",

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .multigraph import (
+    MAX_GRAPH_SIZE,
     MAX_MULTIPLICITY,
     BudgetExceededError,
     MultiGraph,
@@ -54,10 +55,19 @@ from .relations import (
 
 # -- plain shapes --------------------------------------------------------------
 
+def _check_size(member: str, size: int) -> None:
+    """Refuse, before building it, a member whose vertices plus edge pairs
+    (`size`, in closed form) exceed `MAX_GRAPH_SIZE`."""
+    if size > MAX_GRAPH_SIZE:
+        raise ValueError(f"{member} exceeds the limit of {MAX_GRAPH_SIZE} "
+                         f"vertices plus edge pairs")
+
+
 def grid(k: int) -> MultiGraph:
     """The k-by-k grid: vertex (r, c) is labeled r*k + c."""
     if k < 1:
         raise ValueError("grid index must be at least 1")
+    _check_size(f"grid({k})", 3 * k * k - 2 * k)
     edges = []
     for r in range(k):
         for c in range(k):
@@ -71,6 +81,7 @@ def grid(k: int) -> MultiGraph:
 def star(k: int) -> MultiGraph:
     if k < 0:
         raise ValueError("star index must be at least 0")
+    _check_size(f"star({k})", 2 * k + 1)
     return MultiGraph.build(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
@@ -84,18 +95,21 @@ def theta(k: int) -> MultiGraph:
 def path(n: int) -> MultiGraph:
     if n < 0:
         raise ValueError("path order must be at least 0")
+    _check_size(f"path({n})", max(2 * n - 1, 0))
     return MultiGraph.build(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n: int) -> MultiGraph:
     if n < 0:
         raise ValueError("complete order must be at least 0")
+    _check_size(f"complete({n})", n + n * (n - 1) // 2)
     return MultiGraph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(m: int, n: int) -> MultiGraph:
     if m < 0 or n < 0:
         raise ValueError("part sizes must be at least 0")
+    _check_size(f"complete_bipartite({m}, {n})", m + n + m * n)
     return MultiGraph.build(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
@@ -103,6 +117,7 @@ def fan(n: int) -> MultiGraph:
     """Hub 0 joined to every vertex of the path 1..n-1; n vertices total."""
     if n < 1:
         raise ValueError("fan order must be at least 1")
+    _check_size(f"fan({n})", max(3 * n - 3, 1))
     edges = [(0, i) for i in range(1, n)]
     edges += [(i, i + 1) for i in range(1, n - 1)]
     return MultiGraph.build(n, edges)
@@ -110,8 +125,17 @@ def fan(n: int) -> MultiGraph:
 
 # -- ternary trees and their apex variants --------------------------------------
 
-def _ternary_levels(k: int):
-    """Level lists and the (left-to-right) children map of the depth-k tree."""
+def _ternary_levels(k: int, member: str = "ternary_tree",
+                    size=lambda leaves: 4 * leaves - 5):
+    """Level lists and the (left-to-right) children map of the depth-k tree.
+
+    The tree has L = 3 * 2**(k-1) leaves, 2L - 2 vertices and 2L - 3 edges.
+    `size(L)` counts the vertices plus edge pairs of the member built on it
+    (the tree's by default), and a member above `MAX_GRAPH_SIZE` is refused
+    before anything is built.
+    """
+    # past depth 20 the tree alone is above the limit, so L need not grow
+    _check_size(f"{member}({k})", size(3 << min(k - 1, 20)))
     levels = [[0]]
     children: dict[int, list[int]] = {0: []}
     nxt = 1
@@ -139,7 +163,8 @@ def ternary_tree(k: int) -> MultiGraph:
 def ternary_tree_apex(k: int) -> MultiGraph:
     if k < 2:
         raise ValueError("apex tree index starts at 2")
-    levels, children = _ternary_levels(k)
+    levels, children = _ternary_levels(k, "ternary_tree_apex",
+                                       lambda leaves: 5 * leaves - 4)
     n = sum(len(l) for l in levels)
     edges = [(p, c) for p, cs in children.items() for c in cs]
     edges += [(n, leaf) for leaf in levels[k]]
@@ -159,7 +184,11 @@ def _apex_faces(k: int):
     """
     if k < 2:
         raise ValueError("apex dual index starts at 2")
-    levels, children = _ternary_levels(k)
+    # the dual has a face and a subdivision vertex per leaf, and 4L - 3
+    # edge pairs: one per tree edge (a leaf's apex edge repeats the pair of
+    # its tree edge) and two per subdivision vertex
+    levels, children = _ternary_levels(k, "ternary_tree_apex_dual",
+                                       lambda leaves: 6 * leaves - 3)
     leaves, apex = levels[k], sum(len(l) for l in levels)
     parent = {c: p for p, cs in children.items() for c in cs}
 

@@ -1,4 +1,4 @@
-"""Loopless undirected multigraphs with exact isomorphism machinery.
+"""Loopless undirected multigraphs, their canonical forms and enumeration.
 
 Graphs are immutable: vertices are 0..n-1, edges are unordered pairs with an
 integer multiplicity >= 1.  The empty graph (n = 0) is a valid value and takes
@@ -51,6 +51,9 @@ class BudgetExceededError(RuntimeError):
 MAX_SIMPLE_VERTICES = 8
 MAX_MULTI_VERTICES = 6
 MAX_MULTIPLICITY = 8
+#: vertices plus edge pairs of the largest graph a family builds or a text
+#: file declares
+MAX_GRAPH_SIZE = 10**6
 
 
 @dataclass(frozen=True)
@@ -562,26 +565,6 @@ def tree_code(g: MultiGraph) -> str | None:
     return min(code(c) for c in centers[:2])
 
 
-def _settled_isomorphism(a: MultiGraph, b: MultiGraph) -> bool | None:
-    """Whether a and b are isomorphic when a cheap test settles it (sizes,
-    identical edges, degree multisets, tree codes), else None."""
-    if a.n != b.n or a.total_units != b.total_units:
-        return False
-    if a.edges == b.edges:
-        return True
-    if sorted(a.edge_degrees) != sorted(b.edge_degrees):
-        return False
-    ca, cb = tree_code(a), tree_code(b)
-    if ca is not None or cb is not None:
-        return ca == cb
-    return None
-
-
-def are_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
-    settled = _settled_isomorphism(a, b)
-    return canonical_form(a) == canonical_form(b) if settled is None else settled
-
-
 def enum_key(g: MultiGraph) -> tuple[int, int, bytes]:
     """Total order on isomorphism classes: vertex count, edge units, canonical bytes."""
     return (g.n, g.total_units, canonical_form(g))
@@ -743,6 +726,9 @@ def parse_graph_text(text: str) -> MultiGraph:
                 raise GraphFormatError(f"line {ln}: bad vertex count {parts[1]!r}")
             if n < 0:
                 raise GraphFormatError(f"line {ln}: negative vertex count")
+            if n > MAX_GRAPH_SIZE:
+                raise GraphFormatError(f"line {ln}: vertex count {n} above "
+                                       f"the limit of {MAX_GRAPH_SIZE}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {ln}: edge before n line")

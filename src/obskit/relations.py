@@ -20,13 +20,14 @@ immersion oracle `immersion_by_liftings`.  Pattern and host sizes
 are capped (8 and 16 vertices by default); callers that know their
 instance is tractable may raise the caps explicitly.  Oversized patterns
 are rejected by the trivial size comparison before the cap applies, and
-equal-size instances are settled by isomorphism, so reflexivity and
-reverse-direction queries work at any size (see `_isomorphic`).  A time
-budget is checked on every step of the exponential searches (each
-placement, routing step and walk child, and within the caps the placement
-search that settles an equal-size query), and its error's `detail` gives
-`budget_ms`, `elapsed_ms` and `steps`, the number of those steps taken
-before the budget ran out.
+equal-size instances are isomorphism tests that no cap applies to: cheap
+tests, then the placement search under the budget (see `_isomorphic`).
+So reflexivity and reverse-direction queries work at any size the cheap
+tests settle, and up to 255 vertices otherwise.  A time budget is checked
+on every step of the exponential searches (each placement, routing step
+and walk child), and its error's `detail` gives `budget_ms`,
+`elapsed_ms` and `steps`, the number of those steps taken before the
+budget ran out.
 
 Multiplicity semantics (multi mode):
 
@@ -62,13 +63,12 @@ from .multigraph import (
     MultiGraph,
     _is_tree,
     _rooted,
-    _settled_isomorphism,
-    are_isomorphic,
     canonical_form,
     contract_edge,
     delete_edge,
     delete_vertices,
     lift_pair,
+    tree_code,
 )
 
 DEFAULT_MAX_PATTERN = 8
@@ -178,9 +178,10 @@ def _embed(g: MultiGraph, h: MultiGraph, dl: _Deadline, finish=None) -> bool:
     ascending label order and skipping any with a lower edge degree.
     Without `finish`, each placement must carry the multiplicity of every
     edge to already-placed neighbours, so a complete placement is a
-    subgraph embedding.  With `finish`, placement is unconstrained and
-    `finish(image, used)` decides whether the pattern's edge units can be
-    routed between the images.  Callers have already compared sizes.
+    subgraph embedding, and only the host neighbours of the first such
+    neighbour's image are tried.  With `finish`, placement is unconstrained
+    and `finish(image, used)` decides whether the pattern's edge units can
+    be routed between the images.  Callers have already compared sizes.
     """
     hd = sorted(h.edge_degrees, reverse=True)
     gd = sorted(g.edge_degrees, reverse=True)
@@ -197,7 +198,10 @@ def _embed(g: MultiGraph, h: MultiGraph, dl: _Deadline, finish=None) -> bool:
         v = order[i]
         need = [(image[u], m) for u, m in h.adj[v].items()
                 if image[u] >= 0] if finish is None else ()
-        for w in range(g.n):
+        free = g.neighbor_masks[need[0][0]] if need else (1 << g.n) - 1
+        while free:
+            w = (free & -free).bit_length() - 1
+            free &= free - 1
             if used[w] or g.edge_degrees[w] < h.edge_degrees[v]:
                 continue
             if need and not all(g.multiplicity(w, iu) >= m for iu, m in need):
@@ -449,21 +453,36 @@ def _reduce_host(h: MultiGraph, g: MultiGraph, multi: bool = False) -> MultiGrap
     return g
 
 
-def _isomorphic(h: MultiGraph, g: MultiGraph, dl: _Deadline,
-                max_pattern: int, max_host: int) -> bool:
-    """Containment between graphs of equal size, which is isomorphism:
-    any strict step of a relation loses a vertex or an edge unit.
+def _isomorphic(h: MultiGraph, g: MultiGraph, dl: _Deadline) -> bool:
+    """Whether h and g are isomorphic, which is containment between graphs
+    of equal size: any strict step of a relation loses a vertex or an edge
+    unit.
 
-    Within the size caps, what the cheap tests of `are_isomorphic` leave
-    open is decided by `_embed` under the query's deadline: with equal
-    vertex and unit counts, an injective map that respects multiplicities
-    is an isomorphism.  Above the caps, canonical forms decide it outside
-    the budget, so that equal-size queries work at any size.
+    The cheap tests come first: sizes, identical edges, degree multisets
+    and tree codes.  What they leave open is decided by `_embed` under the
+    query's deadline, at every size: with equal vertex and unit counts, an
+    injective map that respects multiplicities is an isomorphism.  The
+    placement search recurses once per vertex, so an open pair above 255
+    vertices raises `BudgetExceededError` instead.
     """
-    if h.n > max_pattern or g.n > max_host:
-        return are_isomorphic(h, g)
-    settled = _settled_isomorphism(h, g)
-    return _embed(g, h, dl) if settled is None else settled
+    if h.n != g.n or h.total_units != g.total_units:
+        return False
+    if h.edges == g.edges:
+        return True
+    if sorted(h.edge_degrees) != sorted(g.edge_degrees):
+        return False
+    ch, cg = tree_code(h), tree_code(g)
+    if ch is not None or cg is not None:
+        return ch == cg
+    if g.n > 255:
+        raise BudgetExceededError("isomorphism search limited to 255 vertices",
+                                  {"n": g.n})
+    return _embed(g, h, dl)
+
+
+def are_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
+    """Whether a and b are isomorphic, decided without a time budget."""
+    return _isomorphic(a, b, _Deadline(None))
 
 
 def _tree_minor(h: MultiGraph, g: MultiGraph) -> bool:
@@ -530,8 +549,6 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
         g, h = g.simplify(), h.simplify()
     if h.n > g.n or h.total_units > g.total_units:
         return False
-    if h.n == g.n and h.total_units == g.total_units:
-        return _isomorphic(h, g, dl, max_pattern, max_host)
     if h.n and max(h.edge_degrees) >= 3 and (
             not g.n or max(g.edge_degrees) <= 2):
         # hosts made of paths and cycles stay that way: deletions only
@@ -539,11 +556,12 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
         # degree at 2, and lifting through a degree-2 vertex is neutral
         return False
     if rel in (Relation.MINOR, Relation.TOPOLOGICAL_MINOR):
+        # keeps both relations, and leaves a host isomorphic to h untouched
         g = _reduce_host(h, g, mode is Mode.MULTI)
         if h.n > g.n or h.total_units > g.total_units:
             return False
-        if h.n == g.n and h.total_units == g.total_units:
-            return _isomorphic(h, g, dl, max_pattern, max_host)
+    if h.n == g.n and h.total_units == g.total_units:
+        return _isomorphic(h, g, dl)
     if (rel is Relation.MINOR and _is_tree(h) and _is_tree(g)
             and max(h.edge_degrees) <= 12):
         # polynomial and uncapped; the degree guard bounds the mask sets

@@ -6,7 +6,8 @@ import pytest
 from conftest import drop_one_matched_pair, shuffled
 from obskit.cli import INTERNAL_EXIT, USAGE_EXIT, main
 from obskit.families import FAMILIES, complete, grid, path, star
-from obskit.multigraph import format_graph_text, parse_graph_text, to_graph6
+from obskit.multigraph import (MultiGraph, format_graph_text,
+                               parse_graph_text, to_graph6)
 from obskit.poset import FinitePoset, format_poset_text, rado_truncation
 from obskit.universal import CERTIFICATES, CORPORA
 
@@ -60,6 +61,20 @@ def test_contain_answers_on_deep_trees(capsys, files):
                              "--h", h, "--g", g)
         assert (code, err) == (0, "")
         assert json.loads(out)["contains"] is True
+
+
+def test_contain_refuses_an_open_isomorphism_test_above_255_vertices(
+        capsys, files):
+    c300 = MultiGraph.build(300, [(i, (i + 1) % 300) for i in range(300)])
+    two_c150 = MultiGraph.build(300, [(i, (i + 1) % 150 + 150 * (i >= 150))
+                                      for i in range(300)])
+    h = files("h.txt", format_graph_text(c300))
+    g = files("g.txt", format_graph_text(two_c150))
+    code, out, err = run(capsys, "contain", "--relation", "subgraph",
+                         "--h", h, "--g", g)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "isomorphism search limited to 255 vertices"}
 
 
 def test_contain_reads_graph6(capsys, files):
@@ -165,6 +180,14 @@ def test_gen_emits_every_family_from_its_base_index(capsys, name):
 def test_gen_below_base_index_fails_cleanly(capsys):
     code, _, err = run(capsys, "gen", "--family", "grid", "--k", "1")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("family,k", [("ternary_tree", "40"),
+                                      ("grid", "100000")])
+def test_gen_refuses_members_above_the_size_limit(capsys, family, k):
+    code, out, err = run(capsys, "gen", "--family", family, "--k", k)
+    assert (code, out) == (1, "")
+    assert "limit of 1000000" in json.loads(err)["error"]
 
 
 def test_obs_builtin_class(capsys):

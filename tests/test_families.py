@@ -1,15 +1,16 @@
 import hashlib
 from collections import Counter
+from functools import partial
 
 import pytest
 
+from obskit import are_isomorphic, families
 from obskit.multigraph import (
     MAX_MULTI_VERTICES,
     MAX_MULTIPLICITY,
     MAX_SIMPLE_VERTICES,
     BudgetExceededError,
     MultiGraph,
-    are_isomorphic,
     canonical_form,
     enumerate_graphs,
     format_graph_text,
@@ -154,6 +155,62 @@ def test_family_steps_verify_and_grow(name):
     for k in range(fam.base_index, fam.base_index + 3):
         assert verify_family_step(fam, k)
         assert growth_size(fam.member(k)) < growth_size(fam.member(k + 1))
+
+
+#: the first index of each family whose member has more than
+#: MAX_GRAPH_SIZE vertices plus edge pairs; theta has 3 at every index
+FIRST_REFUSED = {"grid": 578, "complete": 1414, "star": 500000, "path": 500001,
+                 "ternary_tree": 18, "ternary_tree_apex": 18,
+                 "ternary_tree_apex_dual": 17}
+
+
+class _Checked(Exception):
+    """Raised once a member has passed its size check, so that it is not
+    built."""
+
+
+def _spy_sizes(monkeypatch, then=None):
+    sizes = []
+    real = families._check_size
+
+    def spy(member, size):
+        sizes.append(size)
+        real(member, size)
+        if then is not None:
+            raise then
+
+    monkeypatch.setattr(families, "_check_size", spy)
+    return sizes
+
+
+def test_each_generator_checks_its_exact_size(monkeypatch):
+    sizes = _spy_sizes(monkeypatch)
+    builds = [partial(fam.member, k) for fam in FAMILIES.values()
+              if fam.name != "theta"
+              for k in range(fam.base_index, fam.base_index + 6)]
+    builds += [partial(fan, n) for n in range(1, 7)]
+    builds += [partial(complete_bipartite, m, n)
+               for m in range(4) for n in range(4)]
+    for build in builds:
+        sizes.clear()
+        g = build()
+        assert sizes == [g.n + len(g.edges)], build
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_REFUSED))
+def test_members_above_the_size_limit_are_refused(monkeypatch, name):
+    fam = FAMILIES[name]
+    with pytest.raises(ValueError, match="limit of 1000000 vertices plus edge"):
+        fam.member(FIRST_REFUSED[name])
+    with pytest.raises(ValueError, match="limit"):
+        fam.member(10**100)
+    _spy_sizes(monkeypatch, then=_Checked)
+    with pytest.raises(_Checked):
+        fam.member(FIRST_REFUSED[name] - 1)
+
+
+def test_theta_has_no_size_limit():
+    assert theta(10**100).edges == ((0, 1, 10**100),)
 
 
 # -- finitely presented classes ---------------------------------------------------

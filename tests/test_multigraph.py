@@ -4,14 +4,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from obskit import multigraph
+from obskit import are_isomorphic, multigraph
 from obskit.multigraph import (
     K0,
     MAX_MULTIPLICITY,
     BudgetExceededError,
     GraphFormatError,
     MultiGraph,
-    are_isomorphic,
     canonical_form,
     contract_edge,
     delete_edge,
@@ -602,6 +601,13 @@ def test_graph_set_roundtrip_preserves_order():
 def test_graph_set_splits_on_lines_blank_after_strip(newline, blank):
     text = newline.join(["n 1", blank, "n 2", "e 0 1 1", blank, ""])
     assert parse_graph_set(text) == [MultiGraph(1), P(2)]
+
+
+def test_parse_graph_text_bounds_the_vertex_count():
+    assert parse_graph_text("n 1000000\n").n == 10**6
+    with pytest.raises(GraphFormatError,
+                       match="line 2: vertex count 1000001 above the limit"):
+        parse_graph_text("# big\nn 1000001\n")
 
 
 def test_parse_graph_text_rejects_garbage():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from obskit.multigraph import (BudgetExceededError, MultiGraph, canonical_form,
                                enumerate_graphs, format_graph_text,
                                _component_mask)
-from obskit import relations
+from obskit import are_isomorphic, relations
 from obskit.families import (
     complete,
     complete_bipartite,
@@ -220,6 +220,7 @@ def test_equal_size_answers_match_canonical_forms(mode):
             want = canonical_form(hs) == canonical_form(gs)
             assert contains(Relation.SUBGRAPH, h, shuffled(g, checked),
                             mode=mode) == want, (h, g)
+            assert are_isomorphic(hs, shuffled(gs, checked)) == want, (h, g)
             checked += 1
     assert checked == {Mode.MULTI: 60789, Mode.SIMPLE: 181}[mode]
 
@@ -236,8 +237,9 @@ def random_regular(n, d, rng):
 
 
 def test_equal_size_step_runs_under_the_budget():
-    # seed 5: when canonical forms settled these pairs outside the budget,
-    # they took 6.5 s (not isomorphic) and 8.7 s (isomorphic) on a 2-CPU Xeon
+    # seed 5: canonical forms, which no budget bounds, took 6.5 s (not
+    # isomorphic) and 8.7 s (isomorphic) on these pairs on a 2-CPU Xeon,
+    # within the raised caps and at the default ones
     rng = random.Random(5)
     edges = random_regular(16, 5, rng)
     perm = list(range(16))
@@ -245,14 +247,52 @@ def test_equal_size_step_runs_under_the_budget():
     g = MultiGraph.build(16, edges)
     same = MultiGraph.build(16, [(perm[u], perm[v]) for u, v in edges])
     other = MultiGraph.build(16, random_regular(16, 5, rng))
-    for h, want in ((same, True), (other, False)):
+    for (h, want), caps in itertools.product(
+            ((same, True), (other, False)), ({"max_pattern": 16}, {})):
         start = time.perf_counter()
         try:
-            got = contains(Relation.SUBGRAPH, h, g, budget_ms=200, max_pattern=16)
+            got = contains(Relation.SUBGRAPH, h, g, budget_ms=200, **caps)
         except BudgetExceededError:
             got = None
         assert time.perf_counter() - start < 3
         assert got in (want, None)
+
+
+def cycles(*lengths):
+    """Disjoint cycles of the given lengths, labelled one after another."""
+    edges, at = [], 0
+    for k in lengths:
+        edges += [(at + i, at + (i + 1) % k) for i in range(k)]
+        at += k
+    return MultiGraph.build(at, edges)
+
+
+def test_equal_size_queries_above_the_caps_use_the_placement_search():
+    # canonical forms took more than 30 s on each of the positive pairs
+    rng = random.Random(40)
+    cubic = [MultiGraph.build(40, random_regular(40, 3, rng)) for _ in range(2)]
+    pairs = [(shuffled(g, 6), g, True) for g in (
+        grid(6), ternary_tree_apex(3), ternary_tree_apex_dual(3), cycles(200))]
+    pairs += [(cycles(200), cycles(100, 100), False), (*cubic, False)]
+    for h, g, want in pairs:
+        assert (h.n, h.total_units) == (g.n, g.total_units)
+        start = time.perf_counter()
+        assert contains(Relation.SUBGRAPH, h, g) is want
+        assert contains(Relation.SUBGRAPH, g, h) is want
+        assert are_isomorphic(h, g) is want
+        assert time.perf_counter() - start < 3
+
+
+def test_open_isomorphism_tests_above_255_vertices_are_refused():
+    h, g = cycles(300), cycles(150, 150)
+    for rel in Relation:
+        with pytest.raises(BudgetExceededError,
+                           match="isomorphism search limited to 255 vertices"):
+            contains(rel, h, g)
+    # settled by the cheap tests at any size
+    assert are_isomorphic(shuffled(path(3000), 2), path(3000))
+    lollipop = MultiGraph.build(3000, [*path(3000).edges, (0, 2)])
+    assert not are_isomorphic(cycles(3000), lollipop)
 
 
 @settings(max_examples=60)
