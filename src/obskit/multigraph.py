@@ -591,9 +591,10 @@ def _check_enum_budget(n_max: int, mult_max: int):
             {"n_max": n_max, "mult_max": mult_max, "allowed": cap})
 
 
-def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int) -> list[MultiGraph]:
-    """All isomorphism classes on n vertices obtained by attaching one vertex,
-    canonically labelled and in `enum_key` order.
+def _children(layer: Iterable[MultiGraph], n: int,
+              mult_max: int) -> Iterator[MultiGraph]:
+    """The one-vertex extensions of the graphs of `layer` to n vertices
+    that enumeration keeps, built but not yet searched.
 
     A child is kept only when its new vertex n-1 has the lexicographically
     largest (edge degree, distinct neighbours) of all its vertices; the test
@@ -607,14 +608,11 @@ def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int) -> list[Mu
     vertices, and `_grow_closed` sorts out which children are members.
 
     Of the tuples that pass, one per orbit of the parent's automorphism
-    group is built and searched: the first in `itertools.product` order
-    (McKay's isomorph-free generation).  An automorphism σ of the parent
-    makes the children of t and of t∘σ isomorphic, and the degree test is
-    invariant under it, so the kept children cover the same classes.  Each
-    new class keeps its child's automorphisms, conjugated into canonical
-    labels, as the generators of its own extension.
+    group is built: the first in `itertools.product` order (McKay's
+    isomorph-free generation).  An automorphism σ of the parent makes the
+    children of t and of t∘σ isomorphic, and the degree test is invariant
+    under it, so the kept children cover the same classes.
     """
-    found: dict[bytes, tuple] = {}
     for parent in layer:
         base = parent.edges
         ed, dg = parent.edge_degrees, parent.degrees
@@ -635,16 +633,34 @@ def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int) -> list[Mu
                         covered.add(image)
                         orbit.append(image)
             extra = tuple((u, n - 1, m) for u, m in enumerate(attach) if m > 0)
-            key, order, autos = _canonical_search(
-                MultiGraph(n, tuple(sorted(base + extra))))
-            if key not in found:
-                pos = [0] * n
-                for i, v in enumerate(order):
-                    pos[v] = i
-                found[key] = tuple(tuple(pos[a[v]] for v in order) for a in autos)
+            yield MultiGraph(n, tuple(sorted(base + extra)))
+
+
+def _classes(children: Iterable[MultiGraph]) -> list[MultiGraph]:
+    """The isomorphism classes of `children`, canonically labelled and in
+    `enum_key` order, one canonical search per child.
+
+    Each class keeps its first child's automorphisms, conjugated into
+    canonical labels, as the generators of its own extension.
+    """
+    found: dict[bytes, tuple] = {}
+    for child in children:
+        key, order, autos = _canonical_search(child)
+        if key not in found:
+            pos = [0] * len(order)
+            for i, v in enumerate(order):
+                pos[v] = i
+            found[key] = tuple(tuple(pos[a[v]] for v in order) for a in autos)
     pool: dict = {}
     return sorted((_from_canonical(key, pool, generators)
                    for key, generators in found.items()), key=enum_key)
+
+
+def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int) -> list[MultiGraph]:
+    """All isomorphism classes on n vertices obtained by attaching one vertex
+    to a graph of `layer` (see `_children`), canonically labelled and in
+    `enum_key` order.  Every child is searched."""
+    return _classes(_children(layer, n, mult_max))
 
 
 @lru_cache(maxsize=128)
@@ -674,26 +690,47 @@ def enumerate_graphs(n_max: int, mult_max: int = 1,
 
 
 def _grow_closed(member: Callable[[MultiGraph], bool], n_max: int,
-                 mult_max: int) -> Iterator[tuple[list[MultiGraph], list[MultiGraph]]]:
+                 mult_max: int,
+                 minimal: Callable[[MultiGraph], bool] | None = None,
+                 ) -> Iterator[tuple[list[MultiGraph], list[MultiGraph]]]:
     """Layers 0, 1, ... of a vertex-deletion-closed class, each split into
     (members, non-members) in enumeration order.
 
-    `member` is asked once per canonical class.  Only members are extended:
-    a member on n vertices stays a member after deleting any vertex, so the
-    extensions of the members on n - 1 vertices cover every member on n
-    vertices and every non-member all of whose vertex deletions are
-    members.  Growth stops after an empty member layer or after layer
-    n_max.  No budget cap applies; callers bound n_max themselves.
+    Only members are extended: a member on n vertices stays a member after
+    deleting any vertex, so the extensions of the members on n - 1 vertices
+    cover every member on n vertices and every non-member all of whose
+    vertex deletions are members.  Growth stops after an empty member layer
+    or after layer n_max.  No budget cap applies; callers bound n_max
+    themselves.
+
+    Without `minimal`, every child is searched and `member` is asked once
+    per canonical class.  With it, each child is sorted before its
+    canonical search: `member` is asked of the child itself, a non-member
+    is kept only when `minimal` accepts it, and only kept children are
+    searched.  The non-members yielded are then those `minimal` accepts,
+    and `member` is asked once per child instead of once per class.
     """
-    layer = [K0]
+    def members(children, violators):
+        for child in children:
+            if member(child):
+                yield child
+            elif minimal(child):
+                violators.append(child)
+
+    inside, outside = ([K0], []) if member(K0) else ([], [K0])
     for n in range(n_max + 1):
-        inside, outside = [], []
-        for g in layer:
-            (inside if member(g) else outside).append(g)
         yield inside, outside
         if not inside or n == n_max:
             return
-        layer = _extend_layer(inside, n + 1, mult_max)
+        children = _children(inside, n + 1, mult_max)
+        if minimal is None:
+            inside, outside = [], []
+            for g in _classes(children):
+                (inside if member(g) else outside).append(g)
+        else:
+            violators: list[MultiGraph] = []
+            inside = _classes(members(children, violators))
+            outside = _classes(violators)
 
 
 # -- serialization ---------------------------------------------------------

@@ -16,8 +16,11 @@ Vertex deletion is a single step of every relation, so a closed class is
 closed under it, and every member or minimal violator on n vertices is a
 one-vertex extension of a member on n - 1 vertices.  The scan takes its
 layers from `multigraph._grow_closed`, the grower the omnivore construction
-uses too: it extends only the members, asks the predicate once per class,
-and stops after an empty member layer.
+uses too: it extends only the members and stops after an empty member
+layer.  The scan hands the grower its step-minimality test, so each child
+is judged before its canonical search: only members and step-minimal
+violators are searched, and the many other violators of a layer are
+dropped unsearched (the predicate is asked once per child, not per class).
 
 Reports are complete only up to their (n_max, mult_max) bound: an obstruction
 with more vertices is invisible, so every report carries its bound and a note
@@ -92,22 +95,27 @@ def compute_obstructions(relation, predicate, n_max, mult_max=1, *,
     The layers come from `_grow_closed`: layer n is the one-vertex
     extensions of the members on n - 1 vertices, which covers every member
     and every minimal violator because the class is closed under vertex
-    deletion.  The scan bails out of a violator as soon as one reduction
-    also violates, so the cost is dominated by the class and its boundary,
-    not by the size of the universe.  The size caps of `enumerate_graphs`
-    still apply.
+    deletion.  Each child is judged before its canonical search: the
+    predicate is asked of the child, and a violator is kept only when every
+    single-step reduction satisfies the predicate, bailing out at the first
+    that does not.  Only kept children are searched, so the cost follows
+    the class and its one-vertex boundary, not the size of the universe.
+    The size caps of `enumerate_graphs` still apply.
     """
     relation = parse_relation(relation)
     mode = Mode.SIMPLE if mult_max == 1 else Mode.MULTI
     desc = class_desc or getattr(predicate, "__name__", "predicate")
     _check_enum_budget(n_max, mult_max)
 
+    def step_minimal(g):
+        return all(predicate(r) for r in _single_steps(g, relation, mode))
+
     members = []
     found = []
-    for inside, outside in _grow_closed(predicate, n_max, mult_max):
+    for inside, outside in _grow_closed(predicate, n_max, mult_max,
+                                        step_minimal):
         members += inside
-        found += [g for g in outside
-                  if all(predicate(r) for r in _single_steps(g, relation, mode))]
+        found += outside
 
     rng = random.Random(_CLOSURE_SEED)
     sample = (members if len(members) <= _CLOSURE_SAMPLES

@@ -81,6 +81,10 @@ _ROUTING_STEPS = 20_000
 #: smallest reduced host on which `_minor` tries routing; on smaller hosts
 #: the walk has few classes to visit and costs less than the routing search
 _ROUTING_MIN_HOST = 8
+#: call frames that `contains` lets a topological-minor or immersion
+#: routing stack, leaving its callers room under Python's default recursion
+#: limit of 1000
+_ROUTING_FRAMES = 880
 
 
 class Relation(str, Enum):
@@ -361,8 +365,8 @@ def _topological(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
 
 
 def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
-    """A subgraph embedding, or one path per pattern unit, each path using
-    up one unit of host capacity on every edge it crosses.
+    """One path per pattern unit, each path using up one unit of host
+    capacity on every edge it crosses.
 
     Routing prunes on residual room.  `room[x]` is the unused capacity on
     the edges at host vertex x, and `need[x]` the number of pattern units
@@ -416,7 +420,24 @@ def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
         need[b] += 1
         return False
 
-    return _embed(g, h, dl) or _embed(g, h, dl, route)
+    return _embed(g, h, dl, route)
+
+
+def _routing_units(rel: Relation, h: MultiGraph, g: MultiGraph) -> int:
+    """The most pattern edge units that `contains` routes from h into g.
+
+    The placement search stacks one frame per pattern vertex, then every
+    unit one `route` frame and its path's `dfs` frames.  A topological
+    minor's paths run through distinct host vertices and a direct unit
+    takes no `dfs` frame, so its units stack one frame each plus at most
+    two per host vertex.  An immersion unit stacks two frames plus one per
+    host edge unit its path uses up: at most host vertices + 1 frames, and
+    all paths together use up at most the host's edge units.
+    """
+    room = _ROUTING_FRAMES - h.n - 2
+    if rel is Relation.TOPOLOGICAL_MINOR:
+        return room - 2 * g.n
+    return max(room // (g.n + 1), (room - g.total_units) // 2)
 
 
 def _reduce_host(h: MultiGraph, g: MultiGraph, multi: bool = False) -> MultiGraph:
@@ -575,11 +596,19 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
         return _embed(g, h, dl)
     if rel is Relation.MINOR:
         return _minor(g, h, dl, mode is Mode.MULTI)
+    # a subgraph embedding is a topological minor and an immersion, and
+    # costs far less than routing
+    if _embed(g, h, dl):
+        return True
+    limit = _routing_units(rel, h, g)
+    if h.total_units > limit:
+        raise BudgetExceededError(
+            f"routing limited to {limit} pattern edge units on this host",
+            {"pattern_units": h.total_units, "max_units": limit,
+             "host_vertices": g.n, "host_units": g.total_units})
     if rel is Relation.TOPOLOGICAL_MINOR:
         return _topological(g, h, dl)
-    if rel is Relation.IMMERSION:
-        return _immersion(g, h, dl)
-    raise ValueError(f"unknown relation {rel!r}")
+    return _immersion(g, h, dl)
 
 
 # -- antichains ---------------------------------------------------------------

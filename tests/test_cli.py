@@ -77,6 +77,21 @@ def test_contain_refuses_an_open_isomorphism_test_above_255_vertices(
         "error": "isomorphism search limited to 255 vertices"}
 
 
+@pytest.mark.parametrize("relation,units,limit", [("immersion", 500, 219),
+                                                 ("tm", 2000, 870)])
+def test_contain_refuses_a_routing_past_its_unit_bound(capsys, files, relation,
+                                                      units, limit):
+    # one unit must go round through vertex 2; the routing recursion used
+    # to outgrow Python's stack here and print a RecursionError traceback
+    h = files("h.txt", f"n 2\ne 0 1 {units}\n")
+    g = files("g.txt", f"n 3\ne 0 1 {units - 1}\ne 0 2 1\ne 1 2 1\n")
+    code, out, err = run(capsys, "contain", "--relation", relation,
+                         "--mode", "multi", "--h", h, "--g", g)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": f"routing limited to {limit} pattern edge units on this host"}
+
+
 def test_contain_reads_graph6(capsys, files):
     h = files("h.g6", to_graph6(star(3)) + "\n")
     g = files("g.g6", to_graph6(grid(2)) + "\n")

@@ -29,6 +29,9 @@ ALLOWED_EXITS = {0, 1, 2, 64}
 #: 2 * 10**6, twice the text format's limit
 NUMBERS = ["-1", "0", "1", "2", "3", "8", "9", "16", "17", "255", "256",
            "1000000", "1000001", "2000000", "x", "1.5", "", "+3", "1e3"]
+#: edge multiplicities put into graph files: past the canonical byte range
+#: and up to 10**4, where routing a pattern's units needs its bound
+MULTIPLICITIES = ["2", "255", "256", "499", "500", "2000", "10000"]
 #: --k values of gen: small members, and indices past the size limit of
 #: every family but theta
 GEN_KS = ["-1", "0", "1", "2", "3", "40", "578", "1414", "500001",
@@ -72,11 +75,12 @@ def _collections():
 
 def _mutate(text: str, rng: random.Random) -> str:
     """One to three random edits: a number token replaced by a boundary
-    number, a line deleted, doubled or swapped, a character inserted,
-    replaced or cut off, or a blank line inserted."""
+    number, an edge multiplicity raised, a line deleted, doubled or
+    swapped, a character inserted, replaced or cut off, or a blank line
+    inserted."""
     for _ in range(rng.randint(1, 3)):
         lines = text.split("\n")
-        op = rng.randrange(8)
+        op = rng.randrange(9)
         if op == 0:
             spots = [(i, j) for i, line in enumerate(lines)
                      for j, tok in enumerate(line.split()) if tok.isdigit()]
@@ -95,6 +99,13 @@ def _mutate(text: str, rng: random.Random) -> str:
             lines[i], lines[j] = lines[j], lines[i]
         elif op == 4:
             lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " ", "\r"]))
+        elif op == 8:
+            spots = [i for i, line in enumerate(lines)
+                     if line.startswith("e ") and len(line.split()) == 4]
+            if spots:
+                i = rng.choice(spots)
+                lines[i] = " ".join(lines[i].split()[:3]
+                                    + [rng.choice(MULTIPLICITIES)])
         text = "\n".join(lines)
         if op == 5:
             at = rng.randrange(len(text) + 1)

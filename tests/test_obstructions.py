@@ -1,9 +1,10 @@
 import networkx as nx
 import pytest
 
-from obskit.multigraph import (BudgetExceededError, MultiGraph, _is_tree,
-                               _layer, canonical_form, enumerate_graphs,
-                               tree_code)
+from obskit import multigraph
+from obskit.multigraph import (BudgetExceededError, MultiGraph, _children,
+                               _grow_closed, _is_tree, _layer, canonical_form,
+                               enumerate_graphs, tree_code)
 from obskit.families import complete, complete_bipartite, grid, path, star, theta
 from obskit.obstructions import (
     BUILTIN_CLASSES,
@@ -18,7 +19,8 @@ from obskit.obstructions import (
     is_subcubic_forest,
     is_theta_like,
 )
-from obskit.parameters import treewidth
+from obskit.parameters import edge_degree, pathwidth, treewidth
+from obskit.verify import FIXTURE_BOUNDS
 from obskit.relations import Mode, Relation, _single_steps, is_antichain
 
 from conftest import copies
@@ -156,6 +158,14 @@ def _treewidth_at_most_1(g):
     return treewidth(g)[0] <= 1
 
 
+def _pathwidth_at_most_1(g):
+    return pathwidth(g)[0] <= 1
+
+
+def _edge_degree_at_most_2(g):
+    return edge_degree(g) <= 2
+
+
 def _nothing(g):
     return False
 
@@ -169,6 +179,8 @@ def _nothing(g):
     (Relation.TOPOLOGICAL_MINOR, _subcubic, 5, 2),
     (Relation.MINOR, _treewidth_at_most_1, 6, 1),
     (Relation.MINOR, _nothing, 4, 1),
+    (Relation.MINOR, _pathwidth_at_most_1, 6, 1),
+    (Relation.IMMERSION, _edge_degree_at_most_2, 5, 2),
 ])
 def test_grown_scan_matches_the_full_universe(relation, predicate, n_max,
                                               mult_max):
@@ -176,6 +188,38 @@ def test_grown_scan_matches_the_full_universe(relation, predicate, n_max,
     rep = compute_obstructions(relation, predicate, n_max, mult_max)
     assert rep.obstructions == _full_universe_obstructions(
         relation, predicate, n_max, mult_max)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CLASSES))
+def test_scan_searches_only_members_and_step_minimal_children(name,
+                                                              monkeypatch):
+    relation, member = BUILTIN_CLASSES[name]
+    n_max, mult_max = FIXTURE_BOUNDS[name]
+    mode = Mode.SIMPLE if mult_max == 1 else Mode.MULTI
+
+    def step_minimal(g):
+        return all(member(r) for r in _single_steps(g, relation, mode))
+
+    # the children of each member layer, in the order the scan searches
+    # them: the members, then the step-minimal violators
+    kept, dropped = [], 0
+    for n, (inside, _) in enumerate(_grow_closed(member, n_max, mult_max)):
+        if n < n_max:
+            children = list(_children(inside, n + 1, mult_max))
+            layer = ([c for c in children if member(c)]
+                     + [c for c in children
+                        if not member(c) and step_minimal(c)])
+            kept += layer
+            dropped += len(children) - len(layer)
+    searched = []
+    search = multigraph._canonical_search
+    monkeypatch.setattr(multigraph, "_canonical_search",
+                        lambda g: searched.append(g) or search(g))
+    compute_obstructions(relation, member, n_max, mult_max)
+    assert searched[:len(kept)] == kept
+    # the rest come from the closure check and the antichain test
+    assert all(member(g) or step_minimal(g) for g in searched)
+    assert dropped > 0
 
 
 def test_nothing_is_obstructed_by_the_empty_graph():

@@ -182,6 +182,44 @@ def test_routing_alone_settles_a_positive_and_a_subcubic_negative(monkeypatch):
     assert not contains(Relation.MINOR, two_triangles, host)
 
 
+def test_topological_minor_tries_the_subgraph_embedding_first(monkeypatch):
+    def no_routing(*args, **kwargs):
+        raise AssertionError("the routing ran")
+
+    monkeypatch.setattr(relations, "_topological", no_routing)
+    assert contains(Relation.TOPOLOGICAL_MINOR, path(6), ternary_tree_apex(2))
+    assert contains(Relation.TOPOLOGICAL_MINOR, theta(500), theta(600),
+                    mode=Mode.MULTI)
+
+
+def _detour(units):
+    """A two-vertex pattern with `units` parallel edges, and a host one unit
+    short between the same pair plus a path of length 2 around it."""
+    return (MultiGraph.build(2, [(0, 1, units)]),
+            MultiGraph.build(3, [(0, 1, units - 1), (0, 2), (1, 2)]))
+
+
+@pytest.mark.parametrize("rel,routed", [(Relation.TOPOLOGICAL_MINOR, 870),
+                                        (Relation.IMMERSION, 291)])
+def test_routing_is_bounded_by_its_pattern_units(rel, routed):
+    # 880 frames less 4 for the placement: a topological minor's units take
+    # a frame each and 2 per host vertex, an immersion's at least 3 each
+    assert contains(rel, *_detour(routed), mode=Mode.MULTI)
+    for units in (routed + 1, 2000):
+        h, g = _detour(units)
+        limit = relations._routing_units(rel, h, g)
+        assert limit < units
+        with pytest.raises(BudgetExceededError) as err:
+            contains(rel, h, g, mode=Mode.MULTI)
+        assert str(err.value) == (f"routing limited to {limit} pattern edge "
+                                  "units on this host")
+        assert err.value.detail == {"pattern_units": units, "max_units": limit,
+                                    "host_vertices": 3,
+                                    "host_units": units + 1}
+    # a subgraph embedding needs no routing, whatever the units
+    assert contains(rel, theta(2000), theta(2001), mode=Mode.MULTI)
+
+
 def test_tree_minor_fast_path_matches_search():
     # trees bypass the size caps entirely
     spider = MultiGraph.build(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
