@@ -707,16 +707,11 @@ def _grow_closed(member: Callable[[MultiGraph], bool], n_max: int,
     per canonical class.  With it, each child is sorted before its
     canonical search: `member` is asked of the child itself, a non-member
     is kept only when `minimal` accepts it, and only kept children are
-    searched.  The non-members yielded are then those `minimal` accepts,
-    and `member` is asked once per child instead of once per class.
+    searched.  The non-members yielded past layer 0 are then those
+    `minimal` accepts, and `member` is asked once per child instead of
+    once per class.  Layer 0 yields K0 as a non-member without asking
+    `minimal`.
     """
-    def members(children, violators):
-        for child in children:
-            if member(child):
-                yield child
-            elif minimal(child):
-                violators.append(child)
-
     inside, outside = ([K0], []) if member(K0) else ([], [K0])
     for n in range(n_max + 1):
         yield inside, outside
@@ -728,9 +723,14 @@ def _grow_closed(member: Callable[[MultiGraph], bool], n_max: int,
             for g in _classes(children):
                 (inside if member(g) else outside).append(g)
         else:
+            kept: list[MultiGraph] = []
             violators: list[MultiGraph] = []
-            inside = _classes(members(children, violators))
-            outside = _classes(violators)
+            for child in children:
+                if member(child):
+                    kept.append(child)
+                elif minimal(child):
+                    violators.append(child)
+            inside, outside = _classes(kept), _classes(violators)
 
 
 # -- serialization ---------------------------------------------------------

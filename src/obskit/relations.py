@@ -81,10 +81,6 @@ _ROUTING_STEPS = 20_000
 #: smallest reduced host on which `_minor` tries routing; on smaller hosts
 #: the walk has few classes to visit and costs less than the routing search
 _ROUTING_MIN_HOST = 8
-#: call frames that `contains` lets a topological-minor or immersion
-#: routing stack, leaving its callers room under Python's default recursion
-#: limit of 1000
-_ROUTING_FRAMES = 880
 
 
 class Relation(str, Enum):
@@ -423,23 +419,6 @@ def _immersion(g: MultiGraph, h: MultiGraph, dl: _Deadline) -> bool:
     return _embed(g, h, dl, route)
 
 
-def _routing_units(rel: Relation, h: MultiGraph, g: MultiGraph) -> int:
-    """The most pattern edge units that `contains` routes from h into g.
-
-    The placement search stacks one frame per pattern vertex, then every
-    unit one `route` frame and its path's `dfs` frames.  A topological
-    minor's paths run through distinct host vertices and a direct unit
-    takes no `dfs` frame, so its units stack one frame each plus at most
-    two per host vertex.  An immersion unit stacks two frames plus one per
-    host edge unit its path uses up: at most host vertices + 1 frames, and
-    all paths together use up at most the host's edge units.
-    """
-    room = _ROUTING_FRAMES - h.n - 2
-    if rel is Relation.TOPOLOGICAL_MINOR:
-        return room - 2 * g.n
-    return max(room // (g.n + 1), (room - g.total_units) // 2)
-
-
 def _reduce_host(h: MultiGraph, g: MultiGraph, multi: bool = False) -> MultiGraph:
     """Shrink the host without changing minor or topological-minor
     containment of h.
@@ -600,15 +579,17 @@ def contains(rel: Relation | str, h: MultiGraph, g: MultiGraph,
     # costs far less than routing
     if _embed(g, h, dl):
         return True
-    limit = _routing_units(rel, h, g)
-    if h.total_units > limit:
+    # routing recurses at least once per pattern unit; its state is local
+    # to the call, so running out of stack can unwind into an error
+    try:
+        if rel is Relation.TOPOLOGICAL_MINOR:
+            return _topological(g, h, dl)
+        return _immersion(g, h, dl)
+    except RecursionError:
         raise BudgetExceededError(
-            f"routing limited to {limit} pattern edge units on this host",
-            {"pattern_units": h.total_units, "max_units": limit,
-             "host_vertices": g.n, "host_units": g.total_units})
-    if rel is Relation.TOPOLOGICAL_MINOR:
-        return _topological(g, h, dl)
-    return _immersion(g, h, dl)
+            f"routing ran out of stack at {h.total_units} pattern edge units",
+            {"pattern_units": h.total_units, "host_vertices": g.n,
+             "host_units": g.total_units}) from None
 
 
 # -- antichains ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from obskit.multigraph import (BudgetExceededError, MultiGraph, canonical_form,
                                enumerate_graphs, format_graph_text,
                                _component_mask)
 from obskit import are_isomorphic, relations
+from obskit.universal import DEGREE_COLLECTION, p_of_collection
 from obskit.families import (
     complete,
     complete_bipartite,
@@ -199,25 +200,30 @@ def _detour(units):
             MultiGraph.build(3, [(0, 1, units - 1), (0, 2), (1, 2)]))
 
 
-@pytest.mark.parametrize("rel,routed", [(Relation.TOPOLOGICAL_MINOR, 870),
-                                        (Relation.IMMERSION, 291)])
-def test_routing_is_bounded_by_its_pattern_units(rel, routed):
-    # 880 frames less 4 for the placement: a topological minor's units take
-    # a frame each and 2 per host vertex, an immersion's at least 3 each
-    assert contains(rel, *_detour(routed), mode=Mode.MULTI)
-    for units in (routed + 1, 2000):
-        h, g = _detour(units)
-        limit = relations._routing_units(rel, h, g)
-        assert limit < units
-        with pytest.raises(BudgetExceededError) as err:
-            contains(rel, h, g, mode=Mode.MULTI)
-        assert str(err.value) == (f"routing limited to {limit} pattern edge "
-                                  "units on this host")
-        assert err.value.detail == {"pattern_units": units, "max_units": limit,
-                                    "host_vertices": 3,
-                                    "host_units": units + 1}
+@pytest.mark.parametrize("rel", [Relation.TOPOLOGICAL_MINOR,
+                                 Relation.IMMERSION])
+def test_routing_that_runs_out_of_stack_is_refused(rel):
+    assert contains(rel, *_detour(200), mode=Mode.MULTI)
+    h, g = _detour(2000)
+    with pytest.raises(BudgetExceededError) as err:
+        contains(rel, h, g, mode=Mode.MULTI)
+    assert str(err.value) == ("routing ran out of stack at 2000 pattern "
+                              "edge units")
+    assert err.value.detail == {"pattern_units": 2000, "host_vertices": 3,
+                                "host_units": 2001}
+    # the stack is unwound: the next query routes as before
+    assert contains(rel, *_detour(200), mode=Mode.MULTI)
     # a subgraph embedding needs no routing, whatever the units
     assert contains(rel, theta(2000), theta(2001), mode=Mode.MULTI)
+
+
+def test_degree_infeasible_routings_answer_at_high_multiplicity():
+    # the routing's edge-degree test refuses theta(301) at once: 301 units
+    # cannot leave a vertex of edge degree 300, whatever the stack
+    host = MultiGraph.build(3, [(0, 1, 300), (1, 2, 1)])
+    for rel in (Relation.TOPOLOGICAL_MINOR, Relation.IMMERSION):
+        assert not contains(rel, theta(301), host, mode=Mode.MULTI)
+    assert p_of_collection(DEGREE_COLLECTION, host) == 301
 
 
 def test_tree_minor_fast_path_matches_search():
