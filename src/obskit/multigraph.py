@@ -19,8 +19,9 @@ generators of every class it meets and extends each parent once per orbit
 of attachments under them.
 
 One private grower, `_grow_closed`, grows closed classes for both the
-obstruction scan and the omnivore construction, and one blocks routine,
-`_block_sets`, serves both the outerplanarity test and `bi_pathwidth`.
+obstruction scan and the omnivore construction in one loop that searches
+only the children it keeps, and one blocks routine, `_block_sets`, serves
+both the outerplanarity test and `bi_pathwidth`.
 """
 from __future__ import annotations
 
@@ -638,7 +639,8 @@ def _children(layer: Iterable[MultiGraph], n: int,
 
 def _classes(children: Iterable[MultiGraph]) -> list[MultiGraph]:
     """The isomorphism classes of `children`, canonically labelled and in
-    `enum_key` order, one canonical search per child.
+    `enum_key` order, one canonical search per child.  `_layer` hands it
+    every child of a layer; `_grow_closed` only the children it keeps.
 
     Each class keeps its first child's automorphisms, conjugated into
     canonical labels, as the generators of its own extension.
@@ -656,20 +658,13 @@ def _classes(children: Iterable[MultiGraph]) -> list[MultiGraph]:
                    for key, generators in found.items()), key=enum_key)
 
 
-def _extend_layer(layer: Iterable[MultiGraph], n: int, mult_max: int) -> list[MultiGraph]:
-    """All isomorphism classes on n vertices obtained by attaching one vertex
-    to a graph of `layer` (see `_children`), canonically labelled and in
-    `enum_key` order.  Every child is searched."""
-    return _classes(_children(layer, n, mult_max))
-
-
 @lru_cache(maxsize=128)
 def _layer(n: int, mult_max: int) -> tuple[MultiGraph, ...]:
     """Every class on exactly n vertices with multiplicities at most
     mult_max, in enumeration order; each layer is built once per process."""
     if n == 0:
         return (K0,)
-    return tuple(_extend_layer(_layer(n - 1, mult_max), n, mult_max))
+    return tuple(_classes(_children(_layer(n - 1, mult_max), n, mult_max)))
 
 
 def enumerate_graphs(n_max: int, mult_max: int = 1,
@@ -703,34 +698,26 @@ def _grow_closed(member: Callable[[MultiGraph], bool], n_max: int,
     or after layer n_max.  No budget cap applies; callers bound n_max
     themselves.
 
-    Without `minimal`, every child is searched and `member` is asked once
-    per canonical class.  With it, each child is sorted before its
-    canonical search: `member` is asked of the child itself, a non-member
-    is kept only when `minimal` accepts it, and only kept children are
-    searched.  The non-members yielded past layer 0 are then those
-    `minimal` accepts, and `member` is asked once per child instead of
-    once per class.  Layer 0 yields K0 as a non-member without asking
-    `minimal`.
+    Each child is judged before its canonical search: `member` is asked of
+    the child itself, and a non-member is kept only when `minimal` accepts
+    it, so none is kept without `minimal`.  Only kept children are
+    searched (`_classes`), so `member` is asked once per child, not once
+    per class, and the cost follows the class and the non-members kept.
+    Layer 0 yields K0 as a non-member without asking `minimal`.
     """
     inside, outside = ([K0], []) if member(K0) else ([], [K0])
     for n in range(n_max + 1):
         yield inside, outside
         if not inside or n == n_max:
             return
-        children = _children(inside, n + 1, mult_max)
-        if minimal is None:
-            inside, outside = [], []
-            for g in _classes(children):
-                (inside if member(g) else outside).append(g)
-        else:
-            kept: list[MultiGraph] = []
-            violators: list[MultiGraph] = []
-            for child in children:
-                if member(child):
-                    kept.append(child)
-                elif minimal(child):
-                    violators.append(child)
-            inside, outside = _classes(kept), _classes(violators)
+        kept: list[MultiGraph] = []
+        violators: list[MultiGraph] = []
+        for child in _children(inside, n + 1, mult_max):
+            if member(child):
+                kept.append(child)
+            elif minimal is not None and minimal(child):
+                violators.append(child)
+        inside, outside = _classes(kept), _classes(violators)
 
 
 # -- serialization ---------------------------------------------------------

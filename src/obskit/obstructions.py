@@ -16,11 +16,12 @@ Vertex deletion is a single step of every relation, so a closed class is
 closed under it, and every member or minimal violator on n vertices is a
 one-vertex extension of a member on n - 1 vertices.  The scan takes its
 layers from `multigraph._grow_closed`, the grower the omnivore construction
-uses too: it extends only the members and stops after an empty member
-layer.  The scan hands the grower its step-minimality test, so each child
-is judged before its canonical search: only members and step-minimal
-violators are searched, and the many other violators of a layer are
-dropped unsearched (the predicate is asked once per child, not per class).
+uses too: it extends only the members, stops after an empty member layer,
+and judges each child before its canonical search, asking the predicate
+once per child, not per class.  The scan hands the grower its
+step-minimality test, so only members and step-minimal violators are
+searched and the many other violators of a layer are dropped unsearched;
+the omnivore hands it none and keeps only members.
 
 Reports are complete only up to their (n_max, mult_max) bound: an obstruction
 with more vertices is invisible, so every report carries its bound and a note

@@ -27,7 +27,8 @@ from obskit.multigraph import (
     tree_code,
     _block_sets,
     _canonical_search,
-    _extend_layer,
+    _children,
+    _classes,
     _from_canonical,
     _grow_closed,
     _layer,
@@ -379,7 +380,7 @@ def test_enumeration_count_six_vertices_multiplicity_two():
     (5, 2, lambda g: max(g.edge_degrees, default=0) <= 3),
 ])
 def test_grower_members_match_filtered_enumeration(n_max, mult_max, member):
-    layers = list(_grow_closed(member, n_max, mult_max))
+    layers = list(_grow_closed(member, n_max, mult_max, lambda g: True))
     assert ([g for inside, _ in layers for g in inside]
             == list(enumerate_graphs(n_max, mult_max, predicate=member)))
 
@@ -394,17 +395,23 @@ def test_grower_members_match_filtered_enumeration(n_max, mult_max, member):
         if not member(g) and (g.n == 0 or any(map(member, top_deletions(g))))]
 
 
-def test_grower_asks_the_predicate_once_per_class():
-    asked = []
-
-    def member(g):
-        asked.append(canonical_form(g))
-        return is_forest(g)
-
-    yielded = [canonical_form(g) for inside, outside in _grow_closed(member, 6, 1)
-               for g in inside + outside]
-    assert len(set(yielded)) == len(yielded)
-    assert sorted(asked) == sorted(yielded)
+@pytest.mark.parametrize("name", sorted(BUILTIN_CLASSES))
+def test_grower_without_minimal_searches_only_member_children(name,
+                                                              monkeypatch):
+    member = BUILTIN_CLASSES[name][1]
+    n_max, mult_max = FIXTURE_BOUNDS[name]
+    # the member children of each member layer, in the order they are built
+    kept = []
+    for n, (inside, outside) in enumerate(_grow_closed(member, n_max, mult_max)):
+        assert n == 0 or outside == []  # no non-member is kept without minimal
+        if n < n_max:
+            kept += [c for c in _children(inside, n + 1, mult_max) if member(c)]
+    searched = []
+    search = multigraph._canonical_search
+    monkeypatch.setattr(multigraph, "_canonical_search",
+                        lambda g: searched.append(g) or search(g))
+    list(_grow_closed(member, n_max, mult_max))
+    assert searched == kept
 
 
 # -- automorphism generators and orbit-pruned extension ----------------------
@@ -505,7 +512,7 @@ def test_orbit_pruned_growth_matches_one_search_per_tuple(name):
     n_max, mult_max = FIXTURE_BOUNDS[name]
     for n, (inside, _) in enumerate(_grow_closed(member, n_max, mult_max)):
         if n < n_max:
-            assert _extend_layer(inside, n + 1, mult_max) == \
+            assert _classes(_children(inside, n + 1, mult_max)) == \
                 _extend_layer_by_search_per_tuple(inside, n + 1, mult_max)
 
 
@@ -521,7 +528,7 @@ def test_extension_searches_one_tuple_per_orbit(monkeypatch):
     search = multigraph._canonical_search
     monkeypatch.setattr(multigraph, "_canonical_search",
                         lambda g: searched.append(g) or search(g))
-    assert _extend_layer(parents, 6, 1) == children
+    assert _classes(_children(parents, 6, 1)) == children
     assert len(searched) == orbits < sum(len(_passing_tuples(p, 1)) for p in parents)
 
 
